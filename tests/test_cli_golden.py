@@ -1,0 +1,64 @@
+"""Golden transcript of the command line: every README command, byte for byte.
+
+Each command runs in-process through `main()`; its standard output and exit
+code are compared with tests/data/cli_golden.txt.  After a deliberate change
+of the output, regenerate the file with
+
+    PYTHONPATH=src python tests/test_cli_golden.py > tests/data/cli_golden.txt
+"""
+
+import contextlib
+import io
+import pathlib
+import shlex
+
+from nilnov.cli import main
+
+ROOT = pathlib.Path(__file__).parents[1]
+GOLDEN = ROOT / "tests" / "data" / "cli_golden.txt"
+
+# paths are relative to the repository root
+COMMANDS = [
+    "collect demos/data/heis.pcg 'b a'",
+    "lcs demos/data/heis.pcg --class 2",
+    "refine demos/data/heis.pcg",
+    "order demos/data/heis.pcg c a",
+    "order demos/data/heis.pcg a b",
+    "order demos/data/heis.pcg a b --char tests/data/chi_h3_b.mchar",
+    "fit-char --rank 2 '0,1; 1,0; 1,1'",
+    "ring-mul demos/data/heis.pcg --field F2 '1 + a' '1 + a'",
+    "nov-invert --group demos/data/z.pcg --char demos/data/chi_z.mchar '1 - t' --frontier 5",
+    "expand --group demos/data/heis.pcg --char demos/data/chi_h3.mchar"
+    " '(1 - (1 - c)^-1 a)^-1' --frontier 3,4",
+    "fox demos/data/torus.fpg --quotient c1",
+    "fox demos/data/bs12.fpg",
+    "nq demos/data/f2.fpg --class 2",
+    "nq demos/data/mapping_torus.fpg",
+    "betti demos/data/bs12.fpg --field F2",
+    "nov-h demos/data/bs12.fpg --char demos/data/chi_z.mchar --degree 1 --frontier 6 --sweep",
+    "nov-h demos/data/torus.fpg --char demos/data/chi_torus.mchar --quotient self"
+    " --degree 2 --frontier 6 --entries projected --sweep",
+    "theorem-f demos/data/torus.fpg --quotient self --char demos/data/chi_torus.mchar -d 2",
+    "euler demos/data/torus.fpg",
+]
+
+
+def _run(command):
+    argv = [str(ROOT / tok) if tok.startswith(("demos/", "tests/")) else tok
+            for tok in shlex.split(command)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return f"$ nilnov {command}\n{buf.getvalue()}[exit {code}]\n"
+
+
+def transcript():
+    return "".join(_run(command) for command in COMMANDS)
+
+
+def test_cli_transcript_is_byte_identical():
+    assert transcript() == GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    print(transcript(), end="")
