@@ -8,7 +8,7 @@ drops of conilpotent kernels.
 
 __version__ = "0.1.0"
 
-from .charorder import (Char, LexOrder, MultiChar, compare, fit_character,
+from .charorder import (Char, LexOrder, MultiChar, fit_character,
                         fit_multicharacter, is_compatible, parse_mchar)
 from .fields import GF, QQ
 from .groupring import FreeGroup, GroupRing, RingElt, augment, deg_tuple, ring_mul
@@ -18,15 +18,14 @@ from .iterfrac import Leaf, Node
 from .novikov import (NovContext, NovSeries, Trunc, expand, format_series,
                       frac_from_ring_elt, frac_invert, nov_invert, nov_mul,
                       series_from_elt)
-from .pcgroup import (CentralSeries, PcGroup, Subgroup,
-                      free_abelianization_refine, isolator,
-                      lower_central_series, parse_pc)
+from .pcgroup import (PcGroup, Subgroup, free_abelianization_refine,
+                      isolator, lower_central_series, parse_pc)
 from .presentations import (FreeChainComplex, Presentation, QuotientMap,
                             fox_complex, nilpotent_quotient,
                             parse_presentation)
 
 __all__ = [
-    "Char", "LexOrder", "MultiChar", "compare", "fit_character",
+    "Char", "LexOrder", "MultiChar", "fit_character",
     "fit_multicharacter", "is_compatible", "parse_mchar",
     "GF", "QQ",
     "FreeGroup", "GroupRing", "RingElt", "augment", "deg_tuple", "ring_mul",
@@ -36,7 +35,7 @@ __all__ = [
     "NovContext", "NovSeries", "Trunc", "expand", "format_series",
     "frac_from_ring_elt", "frac_invert", "nov_invert", "nov_mul",
     "series_from_elt",
-    "CentralSeries", "PcGroup", "Subgroup", "free_abelianization_refine",
+    "PcGroup", "Subgroup", "free_abelianization_refine",
     "isolator", "lower_central_series", "parse_pc",
     "FreeChainComplex", "Presentation", "QuotientMap", "fox_complex",
     "nilpotent_quotient", "parse_presentation",

@@ -11,10 +11,11 @@ they play the role of an irrational perturbation, exactly.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from . import iterfrac
 from .errors import Infeasible, MismatchedGroup, ParseError, UnknownGenerator
-from .fields import parse_rational
+from .fields import QQ, parse_rational, rank
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -61,12 +62,6 @@ class MultiChar:
         return tuple(comp(self.group.level_vector(elt, i))
                      for i, comp in enumerate(self.components))
 
-    def value_on_gen(self, gen_index):
-        lvl = self.group.levels[gen_index]
-        names = self.group.level_gens[lvl]
-        base = self.group.index[names[0]]
-        return self.components[lvl].values[gen_index - base]
-
     def with_signs(self, signs):
         """Componentwise sign flip; signs is a list of +1/-1 per level."""
         comps = [[s * v for v in comp.values]
@@ -104,17 +99,8 @@ class LexOrder:
             for j in range(k):
                 rows.append([Fraction(1 if t == j else 0) for t in range(k)])
             self.rows.append(rows)
-            if _rank(rows, k) != k:
+            if rank(rows, QQ) != k:
                 raise AssertionError("order rows fail to span")  # unreachable with tiebreaks
-
-    @classmethod
-    def standard(cls, group):
-        return cls(group, None)
-
-    @classmethod
-    def from_multichar(cls, chi):
-        """Order by chi values first, deterministic basis tiebreaks after."""
-        return cls(chi.group, {i: [list(c.values)] for i, c in enumerate(chi.components)})
 
     def vector_key(self, level, vec):
         return tuple(sum((c * x for c, x in zip(row, vec)), Fraction(0))
@@ -144,28 +130,6 @@ class LexOrder:
         order.rows = [[[s * v for v in row] for row in self.rows[i]]
                       for i, s in enumerate(signs)]
         return order
-
-
-def _rank(rows, n):
-    mat = [list(map(Fraction, r)) for r in rows]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-    return r
-
-
-def compare(order, g, h):
-    return order.compare(g, h)
 
 
 # -- feasibility of strict linear inequalities ---------------------------
@@ -255,21 +219,14 @@ def solve_strict(diffs, rank):
     # scale to a primitive integer vector
     den = 1
     for v in x:
-        den = den * v.denominator // _gcd(den, v.denominator)
+        den = den * v.denominator // gcd(den, v.denominator)
     ints = [int(v * den) for v in x]
     g = 0
     for v in ints:
-        g = _gcd(g, v)
+        g = gcd(g, v)
     if g > 1:
         ints = [v // g for v in ints]
     return [Fraction(v) for v in ints]
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def fit_character(lattice_rank, chain):
@@ -293,10 +250,8 @@ def fit_multicharacter(fracs, group, order):
 
     Works by reverse induction on levels: the sorted supports of all
     level-i nodes yield strict inequalities for chi_i, solved exactly;
-    levels without nodes get the zero component.  `group` may also be a
-    CentralSeries (the series the order is lexicographic with respect to).
+    levels without nodes get the zero component.
     """
-    group = getattr(group, "group", group)
     per_level = [[] for _ in range(group.nlevels)]
     for f in fracs:
         for node in iterfrac.nodes(f):
@@ -323,26 +278,11 @@ def is_compatible(chi, frac, order=None):
     basis tiebreak) is used, under which compatibility is equivalent to
     chi being injective on each node's support.
     """
-    if frac.is_leaf():
-        return True
-    for node in iterfrac.nodes(frac):
-        vecs = iterfrac.support_vectors(node, chi.group)
-        comp = chi.components[node.level]
-        values = [comp(v) for v in vecs]
-        if order is not None:
-            keyed = sorted(zip(vecs, values),
-                           key=lambda pair: order.vector_key(node.level, pair[0]))
-            for (_, u), (_, w) in zip(keyed, keyed[1:]):
-                if not u < w:
-                    return False
-        else:
-            if len(set(values)) != len(values):
-                return False
-    return True
+    return failing_node(chi, frac, order) is None
 
 
 def failing_node(chi, frac, order=None):
-    """First incompatible node, or None (diagnostic twin of is_compatible)."""
+    """First node of frac on which chi is incompatible, or None."""
     for node in iterfrac.nodes(frac):
         vecs = iterfrac.support_vectors(node, chi.group)
         comp = chi.components[node.level]

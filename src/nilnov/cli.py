@@ -6,19 +6,20 @@ verdict, 1 error.
 """
 
 import argparse
+import itertools
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .charorder import LexOrder, MultiChar, fit_character, parse_mchar
+from .charorder import LexOrder, fit_character, parse_mchar
 from .errors import NilnovError
-from .fields import QQ, field_by_name
+from .fields import field_by_name
 from .fracparse import parse_fraction_expr
-from .groupring import GroupRing, augment, ring_mul
+from .groupring import GroupRing, ring_mul
 from .homology import (INCONCLUSIVE, betti, euler_check, nov_cohomology,
                        theorem_f)
-from .novikov import (Trunc, default_m_max, expand, format_series,
-                      nov_invert, series_from_elt)
+from .novikov import (DEFAULT_FRONTIER_ENTRY, NovContext, Trunc, expand,
+                      format_series, nov_invert, series_from_elt)
 from .pcgroup import free_abelianization_refine, lower_central_series, parse_pc
 from .presentations import fox_complex, nilpotent_quotient, parse_presentation
 
@@ -45,16 +46,26 @@ def _load_presentation(path):
     return parse_presentation(_read(path))
 
 
-def _frontier(text, nlevels):
-    if text is None:
-        entries = [8] * nlevels
-    else:
-        entries = [Fraction(part) for part in text.split(",")]
-        if len(entries) == 1 and nlevels > 1:
-            entries = entries * nlevels
-    if len(entries) != nlevels:
+def _trunc(args, nlevels):
+    """Truncation from --frontier (one entry per level, or one for all) and
+    --mmax (default: NILNOV_MMAX, then 64)."""
+    text = str(DEFAULT_FRONTIER_ENTRY) if args.frontier is None else args.frontier
+    try:
+        frontier = [Fraction(part) for part in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise NilnovError(f"bad frontier {text!r} (expected rationals like 8 or 3,4)")
+    if len(frontier) == 1:
+        frontier *= nlevels
+    if len(frontier) != nlevels:
         raise NilnovError(f"frontier needs {nlevels} entries")
-    return entries
+    try:
+        return Trunc(frontier, args.mmax)
+    except ValueError as e:
+        raise NilnovError(str(e))
+
+
+def _frontier_str(trunc):
+    return ",".join(str(t) for t in trunc.frontier)
 
 
 def _header(out, verb, cfg):
@@ -73,11 +84,10 @@ def _quotient_for(pres, kind):
 
 
 def _add_field_opts(sp):
-    sp.add_argument("--field", default="Q", help="coefficient field: Q or F<p>")
-
-
-def _field_of(args):
-    return field_by_name(args.field)
+    # field_by_name raises ParseError, which argparse does not catch, so a
+    # bad name reaches main's error handler
+    sp.add_argument("--field", default="Q", type=field_by_name,
+                    help="coefficient field: Q or F<p>")
 
 
 def main(argv=None):
@@ -161,9 +171,6 @@ def main(argv=None):
     p.add_argument("--degree", "-d", type=int, default=2)
     p.add_argument("--frontier")
     p.add_argument("--mmax", type=int)
-    p.add_argument("--sweep", action="store_true", default=True)
-    p.add_argument("--parallel", action="store_true",
-                   help="run the sign patterns concurrently (deterministic merge)")
     _add_field_opts(p)
 
     p = sub.add_parser("euler", help="Euler-characteristic consistency check")
@@ -240,28 +247,24 @@ def _dispatch(args):
 
     if verb == "ring-mul":
         G = _load_group(args.group)
-        ring = GroupRing(G, _field_of(args))
+        ring = GroupRing(G, args.field)
         prod = ring_mul(ring.parse(args.x), ring.parse(args.y))
         out.append(str(prod))
         return out, 0
 
     if verb in ("nov-invert", "expand"):
         G = _load_group(args.group)
-        field = _field_of(args)
-        ring = GroupRing(G, field)
+        ring = GroupRing(G, args.field)
         chi = parse_mchar(_read(args.char), G)
-        frontier = _frontier(args.frontier, G.nlevels)
-        trunc = Trunc(frontier, args.mmax if args.mmax else default_m_max())
+        trunc = _trunc(args, G.nlevels)
         _header(out, verb, {
-            "group": G.name, "field": field.name,
-            "frontier": ",".join(str(t) for t in frontier),
+            "group": G.name, "field": args.field.name,
+            "frontier": _frontier_str(trunc),
             "m_max": trunc.m_max, "pattern": "+" * G.nlevels,
         })
         if verb == "nov-invert":
-            from .novikov import NovContext
-            elt = ring.parse(args.element)
             ctx = NovContext(chi, trunc)
-            result = nov_invert(series_from_elt(ctx, elt))
+            result = nov_invert(series_from_elt(ctx, ring.parse(args.element)))
         else:
             frac = parse_fraction_expr(args.expression, ring)
             result = expand(frac, chi, trunc)
@@ -270,12 +273,11 @@ def _dispatch(args):
 
     if verb == "fox":
         P = _load_presentation(args.presentation)
-        field = _field_of(args)
         if args.quotient == "free":
-            cx = fox_complex(P, None, field)
+            cx = fox_complex(P, None, args.field)
         else:
-            cx = fox_complex(P, _quotient_for(P, args.quotient), field, project=True)
-        _header(out, "fox", {"presentation": P.name, "field": field.name,
+            cx = fox_complex(P, _quotient_for(P, args.quotient), args.field, project=True)
+        _header(out, "fox", {"presentation": P.name, "field": args.field.name,
                              "entries": args.quotient})
         out.append("d1 (one column per generator):")
         for name, e in zip(P.gen_names, cx.d1):
@@ -296,33 +298,29 @@ def _dispatch(args):
         for lvl, names in enumerate(Q.level_gens):
             out.append(f"level {lvl}: " + (" ".join(names) if names else "(empty)"))
         for (y, x), w in sorted(Q.conj_tails.items()):
-            tail = " ".join(Q.gen_names[g] if e == 1 else f"{Q.gen_names[g]}^{e}" for g, e in w)
-            out.append(f"conj {Q.gen_names[y]} {Q.gen_names[x]} = {tail}")
+            out.append(f"conj {Q.gen_names[y]} {Q.gen_names[x]} = {Q.format_elt(w)}")
         for name, img in zip(P.gen_names, q.images):
             out.append(f"image {name} -> {Q.format_elt(img)}")
         return out, 0
 
     if verb == "betti":
         P = _load_presentation(args.presentation)
-        field = _field_of(args)
-        cx = fox_complex(P, None, field)
-        report = betti(cx, field)
-        _header(out, "betti", {"presentation": P.name, "field": field.name})
+        cx = fox_complex(P, None, args.field)
+        report = betti(cx, args.field)
+        _header(out, "betti", {"presentation": P.name, "field": args.field.name})
         out.append("betti: " + " ".join(str(b) for b in report.betti))
         return out, 0
 
     if verb == "nov-h":
         P = _load_presentation(args.presentation)
-        field = _field_of(args)
         qmap = _quotient_for(P, args.quotient)
         chi = parse_mchar(_read(args.char), qmap.target)
-        frontier = _frontier(args.frontier, qmap.target.nlevels)
-        trunc = Trunc(frontier, args.mmax if args.mmax else default_m_max())
-        cx = fox_complex(P, qmap, field, project=(args.entries == "projected"))
+        trunc = _trunc(args, qmap.target.nlevels)
+        cx = fox_complex(P, qmap, args.field, project=(args.entries == "projected"))
         patterns = _patterns(args, qmap.target.nlevels)
+        fr = _frontier_str(trunc)
         _header(out, "nov-h", {
-            "presentation": P.name, "field": field.name,
-            "frontier": ",".join(str(t) for t in frontier),
+            "presentation": P.name, "field": args.field.name, "frontier": fr,
             "m_max": trunc.m_max, "degree": args.degree,
             "entries": args.entries,
             "pattern": "sweep" if args.sweep else _pattern_str(patterns[0]),
@@ -331,7 +329,6 @@ def _dispatch(args):
         for signs in patterns:
             rep = nov_cohomology(cx, chi, args.degree, trunc, signs=list(signs))
             out.extend(rep.describe_lines())
-            fr = ",".join(str(t) for t in trunc.frontier)
             out.append(f"verdict {rep.pattern} {args.degree} {rep.verdicts[args.degree]} {fr}")
             if rep.verdicts[args.degree] == INCONCLUSIVE:
                 worst = 2
@@ -339,19 +336,15 @@ def _dispatch(args):
 
     if verb == "theorem-f":
         P = _load_presentation(args.presentation)
-        field = _field_of(args)
         qmap = _quotient_for(P, args.quotient)
         chi = parse_mchar(_read(args.char), qmap.target)
-        frontier = _frontier(args.frontier, qmap.target.nlevels)
-        trunc = Trunc(frontier, args.mmax if args.mmax else default_m_max())
-        verdict = theorem_f(P, qmap, chi, args.degree, trunc, field=field,
-                            parallel=getattr(args, "parallel", False))
+        trunc = _trunc(args, qmap.target.nlevels)
+        verdict = theorem_f(P, qmap, chi, args.degree, trunc, field=args.field)
+        fr = _frontier_str(trunc)
         _header(out, "theorem-f", {
-            "presentation": P.name, "field": field.name,
-            "frontier": ",".join(str(t) for t in frontier),
+            "presentation": P.name, "field": args.field.name, "frontier": fr,
             "m_max": trunc.m_max, "degree": args.degree, "pattern": "sweep",
         })
-        fr = ",".join(str(t) for t in trunc.frontier)
         for label, rep in zip(verdict.patterns, verdict.reports):
             out.append(f"pattern {label}: H^{args.degree} {rep.verdicts[args.degree]}"
                        f" (stable={rep.stable})")
@@ -362,11 +355,10 @@ def _dispatch(args):
 
     if verb == "euler":
         P = _load_presentation(args.presentation)
-        field = _field_of(args)
-        cx = fox_complex(P, None, field)
-        report = betti(cx, field)
+        cx = fox_complex(P, None, args.field)
+        report = betti(cx, args.field)
         euler_check(cx, [report])
-        _header(out, "euler", {"presentation": P.name, "field": field.name})
+        _header(out, "euler", {"presentation": P.name, "field": args.field.name})
         out.append(f"chi(C) = {cx.euler_characteristic()}")
         out.append(f"alternating betti sum = {report.alternating_sum()}")
         out.append("consistent")
@@ -376,7 +368,6 @@ def _dispatch(args):
 
 
 def _patterns(args, n):
-    import itertools
     if args.sweep:
         return list(itertools.product((1, -1), repeat=n))
     if args.sign:

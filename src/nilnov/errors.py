@@ -75,13 +75,5 @@ class DimensionMismatch(NilnovError):
     pass
 
 
-class NoPivot(NilnovError):
-    """Elimination stalled: no entry has a unique invertible minimal term."""
-
-    def __init__(self, message, column=None):
-        super().__init__(message)
-        self.column = column
-
-
 class InconsistentReport(NilnovError):
     """A rank report contradicts the Euler characteristic of its complex."""

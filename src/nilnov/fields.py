@@ -6,6 +6,8 @@ form (reduced Fraction for Q, an int in [0, p) for F_p).
 
 from fractions import Fraction
 
+from .errors import ParseError
+
 
 class Rationals:
     name = "Q"
@@ -114,14 +116,39 @@ def GF(p):
     return PrimeField(p)
 
 
-def field_by_name(name, p=None):
+def field_by_name(name):
+    """The field named 'Q' or 'F<p>' for a prime p."""
     if name in ("Q", "QQ", "q"):
         return QQ
-    if name.upper().startswith("F"):
-        return PrimeField(int(name[1:]))
-    if p is not None:
-        return PrimeField(p)
-    raise ValueError(f"unknown field {name!r}")
+    if name[:1] in ("F", "f") and name[1:].isdigit():
+        try:
+            return PrimeField(int(name[1:]))
+        except ValueError as e:
+            raise ParseError(f"field {name!r}: {e}")
+    raise ParseError(f"unknown field {name!r} (use Q or F<p> for a prime p)")
+
+
+def rank(rows, field):
+    """Rank of a dense matrix over an exact field, by Gaussian elimination."""
+    mat = [list(r) for r in rows]
+    if not mat or not mat[0]:
+        return 0
+    ncols = len(mat[0])
+    rk = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rk, len(mat)) if not field.is_zero(mat[i][col])), None)
+        if piv is None:
+            continue
+        mat[rk], mat[piv] = mat[piv], mat[rk]
+        inv = field.inv(mat[rk][col])
+        mat[rk] = [field.mul(inv, x) for x in mat[rk]]
+        for i in range(len(mat)):
+            if i != rk and not field.is_zero(mat[i][col]):
+                f = mat[i][col]
+                mat[i] = [field.add(x, field.neg(field.mul(f, y)))
+                          for x, y in zip(mat[i], mat[rk])]
+        rk += 1
+    return rk
 
 
 def parse_rational(tok):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import ParseError, UnsupportedFraction
 from .groupring import RingElt, ring_mul
 from .iterfrac import Leaf, Node
-from .novikov import frac_from_ring_elt, frac_invert, scalar_leaf
+from .novikov import _split_at_level, frac_from_ring_elt, frac_invert, scalar_leaf
 
 
 def _tokenize(text):
@@ -161,12 +161,6 @@ def _invert(value, ring):
     return Node(value.beta, value.alpha, value.level)
 
 
-def _split_level(group, g, level):
-    prefix = tuple((i, e) for i, e in g if group.levels[i] == level)
-    suffix = tuple((i, e) for i, e in g if group.levels[i] > level)
-    return prefix, suffix
-
-
 def _mul_frac_central(frac, z, ring):
     """frac * u_z for z a central element deeper than the fraction's level."""
     if not z:
@@ -199,7 +193,7 @@ def _conj_frac(frac, g, ring):
         out = []
         for cf, h in entries:
             hh = conj_elt(h)
-            prefix, suffix = _split_level(group, hh, frac.level)
+            prefix, suffix = _split_at_level(group, hh, frac.level)
             cf2 = _conj_frac(cf, g, ring)
             if suffix:
                 cf2 = _mul_frac_central(cf2, suffix, ring)
@@ -232,7 +226,7 @@ def _entries_of(value, level, ring):
         for g in value.support():
             if g and group.levels[g[0][0]] < level:
                 raise UnsupportedFraction("term shallower than the node level")
-            prefix, suffix = _split_level(group, g, level)
+            prefix, suffix = _split_at_level(group, g, level)
             classes.setdefault(prefix, []).append((suffix, value.terms[g]))
         for prefix in sorted(classes, key=group.sort_key):
             entries.append((frac_from_ring_elt(ring.from_terms(classes[prefix])), prefix))
@@ -301,7 +295,7 @@ def _frac_times_word(frac, g, ring):
     if glevel > frac.level:
         return _mul_frac_central(frac, g, ring)
     if glevel < frac.level:
-        prefix, suffix = _split_level(group, g, glevel)
+        prefix, suffix = _split_at_level(group, g, glevel)
         inner = _frac_times_word(frac, suffix, ring) if suffix else frac
         return Node([(inner, prefix)], [(scalar_leaf(ring, 1), ())], glevel)
     if not _beta_trivial(frac, ring):
@@ -309,7 +303,7 @@ def _frac_times_word(frac, g, ring):
     entries = []
     for cf, h in frac.alpha:
         prod = group.mul(h, g)
-        prefix, suffix = _split_level(group, prod, frac.level)
+        prefix, suffix = _split_at_level(group, prod, frac.level)
         if suffix:
             cf = _mul_frac_central(cf, suffix, ring)
         entries.append((cf, prefix))

@@ -11,6 +11,25 @@ from .errors import MismatchedField, MismatchedGroup, ParseError, UnknownGenerat
 from .fields import parse_rational
 
 
+def parse_word(text, index, line=None):
+    """Space-separated tokens 'g' or 'g^<int>' ('1' is skipped) as a list of
+    (generator index, exponent); `index` maps names to indices and `line`
+    goes into the error message."""
+    word = []
+    for tok in text.split():
+        if tok == "1":
+            continue
+        name, caret, etxt = tok.partition("^")
+        try:
+            e = int(etxt) if caret else 1
+        except ValueError:
+            raise ParseError(f"bad exponent in token {tok!r}", line)
+        if name not in index:
+            raise UnknownGenerator(f"unknown generator {name!r}", line)
+        word.append((index[name], e))
+    return word
+
+
 class FreeGroup:
     """Free group on named generators; elements are reduced syllable tuples."""
 
@@ -41,14 +60,6 @@ class FreeGroup:
     def inv(self, a):
         return tuple((g, -e) for g, e in reversed(a))
 
-    def pow(self, a, n):
-        if n < 0:
-            a, n = self.inv(a), -n
-        out = ()
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
     def generator(self, i):
         return ((i, 1),)
 
@@ -59,22 +70,7 @@ class FreeGroup:
         return v
 
     def parse_word(self, text):
-        word = []
-        for tok in text.split():
-            if tok == "1":
-                continue
-            if "^" in tok:
-                name, _, etxt = tok.partition("^")
-                try:
-                    e = int(etxt)
-                except ValueError:
-                    raise ParseError(f"bad exponent in token {tok!r}")
-            else:
-                name, e = tok, 1
-            if name not in self.index:
-                raise UnknownGenerator(f"unknown generator {name!r}")
-            word.append((self.index[name], e))
-        return word
+        return parse_word(text, self.index)
 
     def format_elt(self, elt):
         if not elt:
@@ -172,21 +168,11 @@ class RingElt:
             return self.ring.zero()
         return RingElt(self.ring, {g: field.mul(coeff, cf) for g, cf in self.terms.items()})
 
-    def translated(self, g, side="right"):
-        """Multiply every group part by g on the given side."""
-        group = self.ring.group
-        if side == "right":
-            return RingElt(self.ring, {group.mul(h, g): cf for h, cf in self.terms.items()})
-        return RingElt(self.ring, {group.mul(g, h): cf for h, cf in self.terms.items()})
-
     def is_zero(self):
         return not self.terms
 
     def support(self):
         return sorted(self.terms, key=self.ring.group.sort_key)
-
-    def sorted_terms(self):
-        return [(g, self.terms[g]) for g in self.support()]
 
     def __eq__(self, other):
         return (isinstance(other, RingElt) and self.ring == other.ring

@@ -16,9 +16,11 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatch, InconsistentReport, NoStrictMinimum,
                      TruncationInsufficient)
-from .groupring import ring_mul
-from .novikov import (NovContext, NovSeries, beyond_frontier, minimal_term,
-                      nov_invert)
+from .fields import QQ, rank
+from .groupring import augment, ring_mul
+from .novikov import (NovContext, NovSeries, Trunc, beyond_frontier,
+                      minimal_term, nov_invert)
+from .presentations import fox_complex
 
 VANISHES = "vanishes-at-truncation"
 WITNESS = "nonvanishing-witness"
@@ -79,38 +81,13 @@ class CriterionVerdict:
 
 # -- field Betti numbers ---------------------------------------------------
 
-def _field_rank(rows, field):
-    """Rank of a dense matrix over an exact field, by Gaussian elimination."""
-    mat = [list(r) for r in rows]
-    if not mat or not mat[0]:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if not field.is_zero(mat[i][col])), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(inv, x) for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and not field.is_zero(mat[i][col]):
-                f = mat[i][col]
-                mat[i] = [field.add(x, field.neg(field.mul(f, y)))
-                          for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
 def betti(cx, field):
     """Betti numbers of the complex with trivial field coefficients."""
-    from .groupring import augment
-
     r0, r1, r2 = cx.ranks
     a1 = [[augment(e)] for e in cx.d1]            # r1 x 1
     a2 = [[augment(e) for e in row] for row in cx.d2]  # r2 x r1
-    rk1 = _field_rank(a1, field)
-    rk2 = _field_rank(a2, field)
+    rk1 = rank(a1, field)
+    rk2 = rank(a2, field)
     report = RankReport("field", cx.ranks)
     report.field = field
     bs = [r0 - rk1, r1 - rk1 - rk2]
@@ -202,7 +179,6 @@ class _Elimination:
         present in the current matrices: multiplying a cleared residual by
         such an entry may lower degrees by that much, and the result must
         still certify at the reporting frontier."""
-        from fractions import Fraction
         n = len(self.ctx.trunc.frontier)
         slack = [Fraction(0)] * n
         for elt in list(self.M1) + [e for row in self.M2 for e in row]:
@@ -211,7 +187,6 @@ class _Elimination:
                 for i in range(n):
                     if -d[i] > slack[i]:
                         slack[i] = -d[i]
-        from .novikov import Trunc
         t = self.ctx.trunc
         return self.ctx.with_trunc(Trunc([a + b for a, b in zip(t.frontier, slack)], t.m_max))
 
@@ -377,7 +352,6 @@ def _run_elimination(cx, chi, trunc):
 
 
 def _describe_witness(cx, elim, degree):
-    ring = cx.ring
     if degree == 0:
         return "the augmentation cocycle (d1 is certified zero)"
     if degree == 2:
@@ -415,24 +389,17 @@ def nov_cohomology(cx, chi, degree, trunc, signs=None, stability=True):
     report.elim_ranks = {1: elim.rank1, 2: elim.rank2}
     if stability:
         t2 = trunc.doubled()
-        _, h2, verdicts2, _, _ = _run_elimination(cx, work_chi, t2)
+        _, _, verdicts2, _, _ = _run_elimination(cx, work_chi, t2)
         report.frontier2 = t2.frontier
         report.stable = verdicts2.get(degree) == verdicts.get(degree)
     return report
 
 
-def theorem_f(presentation, qmap, chi, degree, trunc, field=None, project=False,
-              parallel=False):
+def theorem_f(presentation, qmap, chi, degree, trunc, field=None, project=False):
     """Sign-sweep criterion: vanishing top Novikov cohomology for all 2^n
     patterns certifies (at truncation) the cohomological-dimension drop of
     the kernel of the quotient map.
-
-    The patterns are independent pure computations; with parallel=True they
-    run on a thread pool and are merged back in pattern order, so the
-    verdict never depends on execution order.
     """
-    from .fields import QQ
-    from .presentations import fox_complex
 
     top = 2 if presentation.relators else 1
     if degree not in (1, 2) or degree > top:
@@ -440,15 +407,8 @@ def theorem_f(presentation, qmap, chi, degree, trunc, field=None, project=False,
     cx = fox_complex(presentation, qmap, field or QQ, project=project)
     n = chi.group.nlevels
     patterns = list(itertools.product((1, -1), repeat=n))
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(4, len(patterns))) as pool:
-            reports = list(pool.map(
-                lambda signs: nov_cohomology(cx, chi, degree, trunc, signs=list(signs)),
-                patterns))
-    else:
-        reports = [nov_cohomology(cx, chi, degree, trunc, signs=list(signs))
-                   for signs in patterns]
+    reports = [nov_cohomology(cx, chi, degree, trunc, signs=list(signs))
+               for signs in patterns]
     if all(r.verdicts[degree] == VANISHES and r.stable for r in reports):
         conclusion = CD_DROP
     elif any(r.verdicts[degree] == WITNESS for r in reports):

@@ -5,6 +5,7 @@ overflow.  Rows span lattices; all routines are deterministic.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def _copy(mat):
@@ -228,7 +229,6 @@ def solve_in_lattice(rows, target):
     H, U = hermite_row_form(rows, n)
     coeffs = [0] * len(rows)
     t = list(target)
-    hi = 0
     for row_idx, hrow in enumerate(H):
         # pivot column of this HNF row
         pc = next(j for j in range(n) if hrow[j])
@@ -239,7 +239,6 @@ def solve_in_lattice(rows, target):
             t = [x - q * y for x, y in zip(t, hrow)]
             for k in range(len(rows)):
                 coeffs[k] += q * U[row_idx][k]
-        hi += 1
     if any(t):
         return None
     return coeffs
@@ -288,17 +287,11 @@ def minimal_multiple_in_lattice(rows, v):
         coeffs_q[c] = A[i][cols]
     d = 1
     for q in coeffs_q:
-        d = d * q.denominator // _gcd(d, q.denominator)
+        d = d * q.denominator // gcd(d, q.denominator)
     exact = solve_in_lattice(rows, [d * x for x in v])
     if exact is None:
         raise AssertionError("integer solution must exist once denominators are cleared")
     return d, exact
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def solve_mod_lattice(d, r, rows, n):

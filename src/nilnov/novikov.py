@@ -12,11 +12,11 @@ and refuse to return unverified results.
 import os
 from fractions import Fraction
 
-from .charorder import MultiChar, failing_node, is_compatible
+from .charorder import failing_node
 from .errors import (CertificateFailure, IncompatibleCharacter,
                      MismatchedCharacter, NoStrictMinimum,
                      TruncationInsufficient, UnsupportedFraction)
-from .groupring import GroupRing, RingElt, ring_mul
+from .groupring import RingElt, format_ring_elt, ring_mul
 from .iterfrac import Leaf, Node
 
 DEFAULT_M_MAX = 64
@@ -25,7 +25,12 @@ DEFAULT_FRONTIER_ENTRY = 8
 
 def default_m_max():
     value = os.environ.get("NILNOV_MMAX")
-    return int(value) if value else DEFAULT_M_MAX
+    if not value:
+        return DEFAULT_M_MAX
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"NILNOV_MMAX must be an integer, got {value!r}")
 
 
 class Trunc:
@@ -69,6 +74,10 @@ class NovContext:
     """
 
     def __init__(self, chi, trunc, project=None):
+        if len(trunc.frontier) != chi.group.nlevels:
+            raise MismatchedCharacter(
+                f"frontier has {len(trunc.frontier)} entries, "
+                f"the multicharacter has {chi.group.nlevels} levels")
         self.chi = chi
         self.trunc = trunc
         self.project = project
@@ -133,13 +142,6 @@ def nov_mul(x, y):
     prod = ring_mul(x.body, y.body)
     return NovSeries(ctx, truncate_elt(ctx, prod),
                      nonneg=x.nonneg and y.nonneg)
-
-
-def nov_add(x, y):
-    if not x.ctx.compatible(y.ctx):
-        raise MismatchedCharacter("operands carry different multicharacters")
-    ctx = x.ctx.with_trunc(x.ctx.trunc.coarser(y.ctx.trunc))
-    return NovSeries(ctx, truncate_elt(ctx, x.body + y.body))
 
 
 def minimal_term(ctx, elt):
@@ -212,9 +214,10 @@ def expand(frac, chi, trunc, order=None, project=None):
     first and verifies expand(beta) * result = expand(alpha) up to the
     frontier at every node.
     """
-    if not is_compatible(chi, frac, order):
+    node = failing_node(chi, frac, order)
+    if node is not None:
         raise IncompatibleCharacter("multicharacter is not compatible with the fraction",
-                                    node=failing_node(chi, frac, order))
+                                    node=node)
     ring = _leaf_ring(frac)
     if ring is None:
         raise UnsupportedFraction("fraction has no leaves to infer the ring from")
@@ -260,31 +263,12 @@ def _assemble(entries, ctx, ring):
 def format_series(ns):
     """Terms in lexicographic degree order with an explicit O(frontier) tail."""
     ctx = ns.ctx
-    elt = ns.body
-    group, field = elt.ring.group, elt.ring.field
+    group = ns.body.ring.group
     tail = "O(" + ",".join(str(t) for t in ctx.trunc.frontier) + ")"
-    if elt.is_zero():
+    if ns.body.is_zero():
         return tail
-    keys = sorted(elt.terms, key=lambda g: (ctx.deg(g), group.sort_key(g)))
-    parts = []
-    for g in keys:
-        cf = elt.terms[g]
-        word = group.format_elt(g)
-        mag = field.fmt(cf)
-        neg = mag.startswith("-")
-        if neg:
-            mag = mag[1:]
-        if word == "1":
-            body = mag
-        elif mag == "1":
-            body = word
-        else:
-            body = f"{mag}*{word}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts) + " + " + tail
+    body = format_ring_elt(ns.body, lambda g: (ctx.deg(g), group.sort_key(g)))
+    return f"{body} + {tail}"
 
 
 # -- building iterated fractions ------------------------------------------
@@ -338,9 +322,3 @@ def frac_invert(frac, ring=None):
     if not frac.alpha:
         raise ZeroDivisionError("inverting a zero fraction")
     return Node(frac.beta, frac.alpha, frac.level)
-
-
-def frac_depth(frac):
-    if frac.is_leaf():
-        return 0
-    return 1 + max((frac_depth(c) for c, _ in list(frac.alpha) + list(frac.beta)), default=0)

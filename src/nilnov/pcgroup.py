@@ -11,8 +11,8 @@ with strictly increasing indices.  Collection from the left computes them.
 """
 
 from . import intlinalg
-from .errors import (AdaptationError, ClassUnsupported, MismatchedGroup,
-                     ParseError, UnknownGenerator)
+from .errors import AdaptationError, ClassUnsupported, ParseError, UnknownGenerator
+from .groupring import parse_word
 
 Elt = tuple  # ((gen_index, exponent), ...) in normal form
 
@@ -195,17 +195,8 @@ class PcGroup:
 
     # -- coordinates -----------------------------------------------------
 
-    def level_of_gen(self, i):
-        return self.levels[i]
-
     def leading_level(self, elt):
         return self.levels[elt[0][0]] if elt else self.nlevels
-
-    def exp_vector(self, elt):
-        v = [0] * self.ngens
-        for g, e in elt:
-            v[g] = e
-        return v
 
     def level_vector(self, elt, level):
         names = self.level_gens[level]
@@ -225,32 +216,10 @@ class PcGroup:
         base = self.index[names[0]]
         return tuple((base + i, e) for i, e in enumerate(vec) if e)
 
-    def min_level_of_word(self, word):
-        lv = self.nlevels
-        for g, e in word:
-            if e:
-                lv = min(lv, self.levels[g])
-        return lv
-
     # -- text ------------------------------------------------------------
 
     def parse_word(self, text):
-        word = []
-        for tok in text.split():
-            if tok == "1":
-                continue
-            if "^" in tok:
-                name, _, etxt = tok.partition("^")
-                try:
-                    e = int(etxt)
-                except ValueError:
-                    raise ParseError(f"bad exponent in token {tok!r}")
-            else:
-                name, e = tok, 1
-            if name not in self.index:
-                raise UnknownGenerator(f"unknown generator {name!r}")
-            word.append((self.index[name], e))
-        return word
+        return parse_word(text, self.index)
 
     def format_elt(self, elt):
         if not elt:
@@ -324,26 +293,10 @@ def parse_pc(text):
         y, x = index[yname], index[xname]
         if x >= y:
             raise ParseError(f"'conj {yname} {xname}': {xname} must come earlier", ln)
-        word = []
-        for tok in tail.split():
-            if "^" in tok:
-                nm, _, etxt = tok.partition("^")
-                try:
-                    e = int(etxt)
-                except ValueError:
-                    raise ParseError(f"bad exponent in {tok!r}", ln)
-            else:
-                nm, e = tok, 1
-            if nm not in index:
-                raise UnknownGenerator(f"unknown generator {nm!r}", ln)
-            word.append((index[nm], e))
         if (y, x) in tails:
             raise ParseError(f"duplicate relation for ({yname},{xname})", ln)
-        tails[(y, x)] = word
-    try:
-        return PcGroup(name, level_names, tails)
-    except (AdaptationError, ParseError):
-        raise
+        tails[(y, x)] = parse_word(tail, index, ln)
+    return PcGroup(name, level_names, tails)
 
 
 class Subgroup:
@@ -485,25 +438,6 @@ class Subgroup:
 
     def __eq__(self, other):
         return isinstance(other, Subgroup) and self.G is other.G and self.pivots == other.pivots
-
-
-class CentralSeries:
-    """The central series a PcGroup's presentation is adapted to."""
-
-    def __init__(self, group):
-        self.group = group
-        self.length = group.nlevels
-
-    def level_rank(self, i):
-        return len(self.group.level_gens[i])
-
-    def subgroup_at(self, i):
-        """Q_i as a Subgroup (generated by generators of level >= i)."""
-        s = Subgroup(self.group)
-        for g in range(self.group.ngens):
-            if self.group.levels[g] >= i:
-                s.pivots[g] = self.group.generator(g)
-        return s
 
 
 class LowerCentralSeries:

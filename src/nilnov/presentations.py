@@ -12,10 +12,9 @@ saturated relation lattices level by level.
 """
 
 from . import intlinalg
-from .errors import (ClassUnsupported, ParseError, RelatorNotKilled,
-                     UnknownGenerator)
+from .errors import ClassUnsupported, ParseError, RelatorNotKilled
 from .fields import QQ
-from .groupring import FreeGroup, GroupRing, ring_mul
+from .groupring import FreeGroup, GroupRing, parse_word, ring_mul
 from .pcgroup import PcGroup, Subgroup, isolator
 
 
@@ -56,15 +55,11 @@ def parse_presentation(text):
             if len(parts) < 2:
                 raise ParseError("gens line lists no generators", ln)
             gens = parts[1:]
+            index = {g: i for i, g in enumerate(gens)}
         elif parts[0] == "rel":
             if gens is None:
                 raise ParseError("rel before gens", ln)
-            fg = FreeGroup(gens)
-            try:
-                word = fg.parse_word(" ".join(parts[1:]))
-            except UnknownGenerator as e:
-                raise UnknownGenerator(str(e), ln)
-            relators.append(word)
+            relators.append(parse_word(" ".join(parts[1:]), index, ln))
         else:
             raise ParseError(f"unrecognized line {line!r}", ln)
     if gens is None:
@@ -231,14 +226,9 @@ def nilpotent_quotient(presentation, c):
         F = free_abelian_group(P.gen_names)
     else:
         F = free_class2_group(P.gen_names)
-    letter = {i: F.generator(i) for i in range(len(P.gen_names))}
-    images = []
     N = Subgroup(F)
     for r in P.relators:
-        w = []
-        for g, e in r:
-            w.append((g, e))
-        N.insert(F.collect(w))
+        N.insert(F.collect(r))
     if not N.is_trivial():
         N.normal_close()
         N = isolator(F, N)
@@ -311,7 +301,6 @@ def quotient_by_normal(F, N):
         new_levels = [[]]
         lifts = [[]]
 
-    flat_lifts = [x for lvl in lifts for x in lvl]
     nlv = len(new_levels)
 
     def project(x):

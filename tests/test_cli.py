@@ -133,6 +133,24 @@ class TestVerdictsAndExitCodes:
         assert code == 1 and "deeper" in err
 
 
+@pytest.mark.parametrize("env_mmax,extra,message", [
+    ("abc", [], "NILNOV_MMAX must be an integer, got 'abc'"),
+    (None, ["--field", "F4"], "field 'F4': 4 is not prime"),
+    (None, ["--frontier", "x"], "bad frontier 'x' (expected rationals like 8 or 3,4)"),
+    (None, ["--frontier", "1/0"], "bad frontier '1/0' (expected rationals like 8 or 3,4)"),
+    (None, ["--mmax", "0"], "m_max must be >= 1"),
+], ids=["env-mmax", "field", "frontier", "frontier-zero-denominator", "mmax"])
+def test_bad_input_is_an_error(capsys, monkeypatch, env_mmax, extra, message):
+    if env_mmax is not None:
+        monkeypatch.setenv("NILNOV_MMAX", env_mmax)
+    code, out, err = run(capsys, "nov-invert",
+                         "--group", str(DATA / "z.pcg"),
+                         "--char", str(DATA / "chi_z.mchar"),
+                         "1 - t", *extra)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestHeaders:
     def test_header_echoes_configuration(self, capsys):
         code, out, _ = run(capsys, "nov-invert",

@@ -121,15 +121,6 @@ class TestTheoremF:
         with pytest.raises(DimensionMismatch):
             theorem_f(f2, q, chi, 2, Trunc([8], 32))  # no relators: top degree 1
 
-    def test_parallel_sweep_matches_serial(self, mapping_torus):
-        q = nilpotent_quotient(mapping_torus, 1)
-        chi = MultiChar(q.target, [[1]])
-        serial = theorem_f(mapping_torus, q, chi, 2, Trunc([6], 32))
-        parallel = theorem_f(mapping_torus, q, chi, 2, Trunc([6], 32), parallel=True)
-        assert serial.conclusion == parallel.conclusion
-        assert [r.verdicts for r in serial.reports] == [r.verdicts for r in parallel.reports]
-        assert serial.patterns == parallel.patterns
-
 
 class TestEuler:
     def test_field_reports(self, torus, bs12, f2, mapping_torus):

@@ -54,6 +54,11 @@ class TestNovMul:
         with pytest.raises(MismatchedCharacter):
             nov_mul(series_from_elt(c1, R.one()), series_from_elt(c2, R.one()))
 
+    def test_frontier_length_must_match_levels(self, heis):
+        chi = MultiChar(heis, [[1, 0], [1]])
+        with pytest.raises(MismatchedCharacter, match="frontier has 1 entries"):
+            NovContext(chi, Trunc([3], 12))
+
     def test_nonneg_flag(self, zgroup):
         R = GroupRing(zgroup, QQ)
         ctx = NovContext(MultiChar(zgroup, [[1]]), Trunc([5], 10))

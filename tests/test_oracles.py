@@ -15,7 +15,8 @@ import pytest
 
 from nilnov import (MultiChar, QQ, Trunc, fox_complex, nilpotent_quotient,
                     nov_cohomology)
-from nilnov.homology import VANISHES, _field_rank
+from nilnov.fields import rank
+from nilnov.homology import VANISHES
 
 
 def _specialize(elt, values):
@@ -37,9 +38,13 @@ def _generic_ranks(cx, seed):
         values = [Fraction(rng.randint(2, 19), rng.randint(2, 19)) for _ in range(n)]
         a1 = [[_specialize(e, values)] for e in cx.d1]
         a2 = [[_specialize(e, values) for e in row] for row in cx.d2]
-        best1 = max(best1, _field_rank(a1, QQ))
-        best2 = max(best2, _field_rank(a2, QQ))
+        best1 = max(best1, rank(a1, QQ))
+        best2 = max(best2, rank(a2, QQ))
     return best1, best2
+
+
+# a fixed seed per case, so every run checks the same specialisation points
+SEEDS = {"torus": 1, "bs12": 2, "mt": 3}
 
 
 @pytest.mark.parametrize("name,src", [
@@ -53,7 +58,7 @@ def test_projected_verdicts_match_laurent_field_ranks(name, src):
     P = parse_presentation(src)
     q = nilpotent_quotient(P, 1)
     cx = fox_complex(P, q, QQ, project=True)
-    rk1, rk2 = _generic_ranks(cx, seed=hash(name) % 10000)
+    rk1, rk2 = _generic_ranks(cx, SEEDS[name])
     r0, r1, r2 = cx.ranks
     expected_h = {0: r0 - rk1, 1: r1 - rk1 - rk2, 2: r2 - rk2}
 
