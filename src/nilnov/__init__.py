@@ -11,13 +11,12 @@ __version__ = "0.1.0"
 from .charorder import (Char, LexOrder, MultiChar, fit_character,
                         fit_multicharacter, is_compatible, parse_mchar)
 from .fields import GF, QQ
-from .groupring import FreeGroup, GroupRing, RingElt, augment, deg_tuple, ring_mul
+from .groupring import FreeGroup, GroupRing, RingElt, augment, ring_mul
 from .homology import (CriterionVerdict, RankReport, betti, euler_check,
                        nov_cohomology, theorem_f)
-from .iterfrac import Leaf, Node
+from .iterfrac import Leaf, Node, frac_from_ring_elt, frac_invert
 from .novikov import (NovContext, NovSeries, Trunc, expand, format_series,
-                      frac_from_ring_elt, frac_invert, nov_invert, nov_mul,
-                      series_from_elt)
+                      nov_invert, nov_mul, series_from_elt)
 from .pcgroup import (PcGroup, Subgroup, free_abelianization_refine,
                       isolator, lower_central_series, parse_pc)
 from .presentations import (FreeChainComplex, Presentation, QuotientMap,
@@ -28,7 +27,7 @@ __all__ = [
     "Char", "LexOrder", "MultiChar", "fit_character",
     "fit_multicharacter", "is_compatible", "parse_mchar",
     "GF", "QQ",
-    "FreeGroup", "GroupRing", "RingElt", "augment", "deg_tuple", "ring_mul",
+    "FreeGroup", "GroupRing", "RingElt", "augment", "ring_mul",
     "CriterionVerdict", "RankReport", "betti", "euler_check",
     "nov_cohomology", "theorem_f",
     "Leaf", "Node",

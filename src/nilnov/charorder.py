@@ -332,7 +332,10 @@ def parse_mchar(text, group):
             if group.levels[gi] != lvl:
                 raise ParseError(f"generator {name} is not at level {lvl}", ln)
             base = group.index[group.level_gens[lvl][0]]
-            comps[lvl][gi - base] = parse_rational(val)
+            try:
+                comps[lvl][gi - base] = parse_rational(val)
+            except ParseError as e:
+                raise ParseError(str(e), ln)
     return MultiChar(group, comps)
 
 

@@ -8,12 +8,11 @@ verdict, 1 error.
 import argparse
 import itertools
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .charorder import LexOrder, fit_character, parse_mchar
-from .errors import NilnovError
-from .fields import field_by_name
+from .errors import NilnovError, ParseError
+from .fields import field_by_name, parse_rational
 from .fracparse import parse_fraction_expr
 from .groupring import GroupRing, ring_mul
 from .homology import (INCONCLUSIVE, betti, euler_check, nov_cohomology,
@@ -51,9 +50,9 @@ def _trunc(args, nlevels):
     --mmax (default: NILNOV_MMAX, then 64)."""
     text = str(DEFAULT_FRONTIER_ENTRY) if args.frontier is None else args.frontier
     try:
-        frontier = [Fraction(part) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError):
-        raise NilnovError(f"bad frontier {text!r} (expected rationals like 8 or 3,4)")
+        frontier = [parse_rational(part) for part in text.split(",")]
+    except ParseError:
+        raise ParseError(f"bad frontier {text!r} (expected rationals like 8 or 3,4)")
     if len(frontier) == 1:
         frontier *= nlevels
     if len(frontier) != nlevels:
@@ -219,7 +218,10 @@ def _dispatch(args):
         for part in args.chain.split(";"):
             part = part.strip()
             if part:
-                chain.append([int(x) for x in part.split(",")])
+                try:
+                    chain.append([int(x) for x in part.split(",")])
+                except ValueError:
+                    raise ParseError(f"bad lattice point {part!r} (expected integers like 0,1)")
         values = fit_character(args.rank, chain)
         out.append(" ".join(str(v) for v in values))
         return out, 0

@@ -63,6 +63,10 @@ class UnsupportedFraction(NilnovError):
     """Expression shape outside the supported fraction calculus."""
 
 
+class ZeroInverse(NilnovError):
+    """An expression asks for the inverse of zero."""
+
+
 class RelatorNotKilled(NilnovError):
     """A claimed quotient map does not kill some relator."""
 

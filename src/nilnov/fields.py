@@ -67,7 +67,8 @@ class PrimeField:
     def coerce(self, x):
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
+                raise ParseError(f"{x} has no value in {self.name}: "
+                                 f"its denominator is divisible by {self.p}")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return int(x) % self.p
 
@@ -152,5 +153,11 @@ def rank(rows, field):
 
 
 def parse_rational(tok):
-    """'p/q' or integer literal -> Fraction."""
-    return Fraction(tok)
+    """'p/q' or integer literal -> Fraction; ParseError when the token is
+    malformed or its denominator is zero."""
+    try:
+        return Fraction(tok)
+    except ValueError:
+        raise ParseError(f"bad rational {tok!r}")
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {tok!r}")

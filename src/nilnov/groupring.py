@@ -113,7 +113,7 @@ class GroupRing:
         return RingElt(self, clean)
 
     def parse(self, text):
-        return parse_ring_elt(text, self)
+        return read_expr(text, RingOps(self))
 
     def __eq__(self, other):
         return (isinstance(other, GroupRing) and other.group is self.group
@@ -171,6 +171,10 @@ class RingElt:
     def is_zero(self):
         return not self.terms
 
+    def is_scalar(self):
+        """Supported on the identity alone (zero included)."""
+        return self.terms.keys() <= {()}
+
     def support(self):
         return sorted(self.terms, key=self.ring.group.sort_key)
 
@@ -213,11 +217,6 @@ def augment(x):
     return total
 
 
-def deg_tuple(chi, g):
-    """Degree tuple of a normal form g against the multicharacter chi."""
-    return chi.deg(g)
-
-
 def format_ring_elt(x, order_key=None):
     if not x.terms:
         return "0"
@@ -244,54 +243,139 @@ def format_ring_elt(x, order_key=None):
     return " ".join(parts)
 
 
-def parse_ring_elt(text, ring):
-    """Parse '<coeff>*<word> + ...'; words may be unnormalized and are collected."""
-    toks = text.split()
-    if not toks:
-        return ring.zero()
-    terms = []
-    sign = 1
-    cur = []
+# -- literals ----------------------------------------------------------------
+#
+# Ring-element literals and iterated-fraction expressions share one grammar:
+#
+#     sum    := ['-'] term (('+' | '-') term)*
+#     term   := factor (['*'] factor)*        a '*' token only after a rational
+#     factor := atom ('^-1')*
+#     atom   := '(' sum ')' | rational | [rational '*'] word
+#
+# Tokens are separated by whitespace and parentheses.  A rational starts
+# with a digit; a word is one token of ring.group's word syntax ('a',
+# 'a^-2'); '2*a' is one atom, the monomial 2a, so '2*a ^-1' is (2a)^-1.
+# A '-' glued to the front of a token ('-a', '-2*a') is a unary minus.
+# read_expr builds the value with the algebra it is handed: RingOps for
+# plain literals, fracparse.FractionOps for iterated fractions.
 
-    def flush(cur, sign):
-        if not cur:
-            raise ParseError("empty term in ring element")
-        coeff = ring.field.one
-        word_toks = list(cur)
-        first = word_toks[0]
-        if "*" in first:
-            ctxt, _, rest = first.partition("*")
-            coeff = ring.field.coerce(parse_rational(ctxt))
-            word_toks[0] = rest
-            if not rest:
-                word_toks.pop(0)
-        else:
-            try:
-                coeff = ring.field.coerce(parse_rational(first))
-                word_toks.pop(0)
-            except ValueError:
-                if first.startswith("-"):
-                    # a sign glued to a word token, as the printer emits
-                    sign = -sign
-                    word_toks[0] = first[1:]
-        word = []
-        for tok in word_toks:
-            word.extend(ring.group.parse_word(tok))
-        g = ring.group.collect(word)
-        if sign < 0:
-            coeff = ring.field.neg(coeff)
-        terms.append((g, coeff))
+_PUNCT = ("(", ")", "+", "-", "*", "^-1")
 
-    for tok in toks:
-        if tok in ("+", "-"):
-            if cur:
-                flush(cur, sign)
-                cur = []
-                sign = 1
-            if tok == "-":
-                sign = -sign
-            continue
-        cur.append(tok)
-    if cur:
-        flush(cur, sign)
-    return ring.from_terms(terms)
+
+def _tokenize(text):
+    """Tokens of a literal; a glued unary minus becomes its own '-' token,
+    and may only start a sum."""
+    toks = []
+    for chunk in text.replace("(", " ( ").replace(")", " ) ").split():
+        if chunk[0] == "-" and chunk != "-":
+            if toks and toks[-1] != "(":
+                raise ParseError(f"a minus sign glued to {chunk[1:]!r} may only start a sum")
+            toks.append("-")
+            chunk = chunk[1:]
+        toks.append(chunk)
+    return toks
+
+
+def _is_rational(tok):
+    return tok[0].isdigit() and "*" not in tok
+
+
+def read_expr(text, ops):
+    """Read `text` by the literal grammar, building values with `ops`."""
+    reader = _Reader(_tokenize(text), ops)
+    if not reader.toks:
+        raise ParseError("empty expression (write 0 for zero)")
+    value = reader.sum()
+    if reader.peek() is not None:
+        raise ParseError(f"unexpected {reader.peek()!r}")
+    return value
+
+
+class _Reader:
+    """Recursive descent over a token list: sum -> term -> factor -> atom."""
+
+    def __init__(self, toks, ops):
+        self.toks = toks
+        self.ops = ops
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of expression")
+        self.pos += 1
+        return tok
+
+    def sum(self):
+        negate = self.peek() == "-"
+        if negate:
+            self.pos += 1
+        value = self.term()
+        if negate:
+            value = self.ops.neg(value)
+        while self.peek() in ("+", "-"):
+            op = self.next()
+            rhs = self.term()
+            value = self.ops.add(value, rhs if op == "+" else self.ops.neg(rhs))
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.peek() not in (None, "+", "-", ")"):
+            if self.peek() == "*":
+                if not _is_rational(self.toks[self.pos - 1]):
+                    raise ParseError("'*' may only follow a rational coefficient")
+                self.pos += 1
+            value = self.ops.mul(value, self.factor())
+        return value
+
+    def factor(self):
+        value = self.atom()
+        while self.peek() == "^-1":
+            self.pos += 1
+            value = self.ops.invert(value)
+        return value
+
+    def atom(self):
+        tok = self.next()
+        if tok == "(":
+            value = self.sum()
+            if self.peek() != ")":
+                raise ParseError("missing ')'")
+            self.pos += 1
+            return value
+        if tok in _PUNCT:
+            raise ParseError(f"unexpected {tok!r}")
+        ring = self.ops.ring
+        if _is_rational(tok):
+            return ring.monomial(parse_rational(tok), ())
+        coeff, star, word = tok.rpartition("*")
+        if star and not (coeff and _is_rational(coeff) and word):
+            raise ParseError(f"bad term {tok!r} (expected <rational>*<word>)")
+        g = ring.group.collect(ring.group.parse_word(word))
+        return ring.monomial(parse_rational(coeff) if star else ring.field.one, g)
+
+
+class RingOps:
+    """Group-ring operations for read_expr; ^-1 inverts only monomials."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def neg(self, x):
+        return -x
+
+    def add(self, x, y):
+        return x + y
+
+    def mul(self, x, y):
+        return ring_mul(x, y)
+
+    def invert(self, x):
+        if len(x.terms) != 1:
+            raise ParseError(f"^-1 in a ring literal needs a monomial, not {x}")
+        (g, cf), = x.terms.items()
+        return self.ring.monomial(self.ring.field.inv(cf), self.ring.group.inv(g))

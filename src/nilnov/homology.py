@@ -395,7 +395,7 @@ def nov_cohomology(cx, chi, degree, trunc, signs=None, stability=True):
     return report
 
 
-def theorem_f(presentation, qmap, chi, degree, trunc, field=None, project=False):
+def theorem_f(presentation, qmap, chi, degree, trunc, field=None):
     """Sign-sweep criterion: vanishing top Novikov cohomology for all 2^n
     patterns certifies (at truncation) the cohomological-dimension drop of
     the kernel of the quotient map.
@@ -404,7 +404,7 @@ def theorem_f(presentation, qmap, chi, degree, trunc, field=None, project=False)
     top = 2 if presentation.relators else 1
     if degree not in (1, 2) or degree > top:
         raise DimensionMismatch(f"degree {degree} unsupported for this complex (top {top})")
-    cx = fox_complex(presentation, qmap, field or QQ, project=project)
+    cx = fox_complex(presentation, qmap, field or QQ, project=False)
     n = chi.group.nlevels
     patterns = list(itertools.product((1, -1), repeat=n))
     reports = [nov_cohomology(cx, chi, degree, trunc, signs=list(signs))

@@ -17,7 +17,8 @@ from .errors import (CertificateFailure, IncompatibleCharacter,
                      MismatchedCharacter, NoStrictMinimum,
                      TruncationInsufficient, UnsupportedFraction)
 from .groupring import RingElt, format_ring_elt, ring_mul
-from .iterfrac import Leaf, Node
+# the fraction builders live in iterfrac; tests also import these two from here
+from .iterfrac import frac_invert, scalar_leaf  # noqa: F401
 
 DEFAULT_M_MAX = 64
 DEFAULT_FRONTIER_ENTRY = 8
@@ -206,22 +207,21 @@ def nov_invert(beta):
     return NovSeries(ctx, gamma)
 
 
-def expand(frac, chi, trunc, order=None, project=None):
+def expand(frac, chi, trunc):
     """Expand an iterated fraction into a truncated Novikov series.
 
-    Compatibility of chi with the fraction is checked first (against the
-    explicit order when given); the expansion then proceeds deepest level
-    first and verifies expand(beta) * result = expand(alpha) up to the
-    frontier at every node.
+    Compatibility of chi with the fraction is checked first; the expansion
+    then proceeds deepest level first and verifies
+    expand(beta) * result = expand(alpha) up to the frontier at every node.
     """
-    node = failing_node(chi, frac, order)
+    node = failing_node(chi, frac)
     if node is not None:
         raise IncompatibleCharacter("multicharacter is not compatible with the fraction",
                                     node=node)
     ring = _leaf_ring(frac)
     if ring is None:
         raise UnsupportedFraction("fraction has no leaves to infer the ring from")
-    ctx = NovContext(chi, trunc, project)
+    ctx = NovContext(chi, trunc)
     return _expand_rec(frac, ctx, ring)
 
 
@@ -269,56 +269,3 @@ def format_series(ns):
         return tail
     body = format_ring_elt(ns.body, lambda g: (ctx.deg(g), group.sort_key(g)))
     return f"{body} + {tail}"
-
-
-# -- building iterated fractions ------------------------------------------
-
-def _split_at_level(group, g, level):
-    """g = prefix * suffix with prefix the level-`level` syllables."""
-    prefix = tuple((i, e) for i, e in g if group.levels[i] == level)
-    suffix = tuple((i, e) for i, e in g if group.levels[i] > level)
-    return prefix, suffix
-
-
-def scalar_leaf(ring, value):
-    return Leaf(ring.monomial(value, ()))
-
-
-def frac_from_ring_elt(x):
-    """Canonical nested tree of a finite element: one node per level,
-    deeper parts becoming coefficient fractions, scalars becoming leaves."""
-    group = x.ring.group
-    if x.is_zero() or all(not g for g in x.terms):
-        return Leaf(x)
-    level = min(group.levels[g[0][0]] for g in x.terms if g)
-    classes = {}
-    for g in x.support():
-        cf = x.terms[g]
-        prefix, suffix = _split_at_level(group, g, level)
-        classes.setdefault(prefix, []).append((suffix, cf))
-    alpha = []
-    for prefix in sorted(classes, key=group.sort_key):
-        coeff_elt = x.ring.from_terms(classes[prefix])
-        alpha.append((frac_from_ring_elt(coeff_elt), prefix))
-    beta = [(scalar_leaf(x.ring, x.ring.field.one), ())]
-    return Node(alpha, beta, level)
-
-
-def frac_invert(frac, ring=None):
-    """Invert a fraction or finite element; swaps numerator and denominator."""
-    if isinstance(frac, RingElt):
-        frac = Leaf(frac)
-    if frac.is_leaf():
-        x = frac.elem
-        if x.is_zero():
-            raise ZeroDivisionError("inverting zero")
-        support = x.support()
-        if len(support) == 1 and not support[0]:
-            return Leaf(x.ring.monomial(x.ring.field.inv(x.terms[()]), ()))
-        nested = frac_from_ring_elt(x)
-        if nested.is_leaf():
-            raise AssertionError("non-scalar leaf should nest into a node")
-        return Node([(scalar_leaf(x.ring, x.ring.field.one), ())], nested.alpha, nested.level)
-    if not frac.alpha:
-        raise ZeroDivisionError("inverting a zero fraction")
-    return Node(frac.beta, frac.alpha, frac.level)

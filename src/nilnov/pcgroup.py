@@ -307,12 +307,12 @@ class Subgroup:
     commutators, so reduce-based membership is exact.
     """
 
-    def __init__(self, group, gens=(), close=True):
+    def __init__(self, group, gens=()):
         self.G = group
         self.pivots = {}
         for g in gens:
             self.insert(g)
-        if close and gens:
+        if gens:
             self.close()
 
     @classmethod

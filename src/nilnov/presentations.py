@@ -88,17 +88,16 @@ def fox_derivative(ring, word, gen):
 class QuotientMap:
     """Generator-wise map of a presentation onto a PcGroup."""
 
-    def __init__(self, source, target, images, check=True):
+    def __init__(self, source, target, images):
         self.source = source
         self.target = target
         self.images = list(images)
         if len(self.images) != len(source.gen_names):
             raise RelatorNotKilled("one image per generator required")
-        if check:
-            for r in source.relators:
-                if self.apply_word(r):
-                    raise RelatorNotKilled(
-                        f"relator {source.free_group.format_elt(r)} does not die")
+        for r in source.relators:
+            if self.apply_word(r):
+                raise RelatorNotKilled(
+                    f"relator {source.free_group.format_elt(r)} does not die")
 
     def apply_word(self, word):
         out = []

@@ -8,6 +8,7 @@ vanishing side is then -chi, and the obstructed side reports inconclusive
 with explicit obstruction data rather than an uncertifiable witness.
 """
 
+import os
 import pathlib
 import random
 import subprocess
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+import nilnov
 from nilnov import (GF, GroupRing, LexOrder, MultiChar, QQ, QuotientMap,
                     Trunc, betti, euler_check, fit_character,
                     fit_multicharacter, fox_complex, is_compatible,
@@ -282,11 +284,15 @@ def test_criterion_12_cli_determinism():
          "--char", str(DATA / "chi_torus.mchar"), "-d", "2", "--frontier", "6"],
         ["lcs", str(DATA / "heis.pcg"), "--class", "2"],
     ]
+    # the child processes import the nilnov this module imported
+    src = str(pathlib.Path(nilnov.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     for cmd in commands:
         outputs = set()
         for _ in range(3):
             proc = subprocess.run([sys.executable, "-m", "nilnov.cli"] + cmd,
-                                  capture_output=True, check=True)
+                                  capture_output=True, check=True, env=env)
             outputs.add(proc.stdout)
         assert len(outputs) == 1, f"nondeterministic output for {cmd}"
     report(12, "CLI output byte-identical across 3 repetitions", t0, 60.0)

@@ -133,20 +133,37 @@ class TestVerdictsAndExitCodes:
         assert code == 1 and "deeper" in err
 
 
-@pytest.mark.parametrize("env_mmax,extra,message", [
-    ("abc", [], "NILNOV_MMAX must be an integer, got 'abc'"),
-    (None, ["--field", "F4"], "field 'F4': 4 is not prime"),
-    (None, ["--frontier", "x"], "bad frontier 'x' (expected rationals like 8 or 3,4)"),
-    (None, ["--frontier", "1/0"], "bad frontier '1/0' (expected rationals like 8 or 3,4)"),
-    (None, ["--mmax", "0"], "m_max must be >= 1"),
-], ids=["env-mmax", "field", "frontier", "frontier-zero-denominator", "mmax"])
-def test_bad_input_is_an_error(capsys, monkeypatch, env_mmax, extra, message):
+Z = ["--group", str(DATA / "z.pcg"), "--char", str(DATA / "chi_z.mchar")]
+H3 = ["--group", str(DATA / "heis.pcg"), "--char", str(DATA / "chi_h3.mchar")]
+BAD_MCHAR = pathlib.Path(__file__).parent / "data" / "chi_z_zero_denominator.mchar"
+
+
+@pytest.mark.parametrize("env_mmax,argv,message", [
+    ("abc", ["nov-invert", *Z, "1 - t"], "NILNOV_MMAX must be an integer, got 'abc'"),
+    (None, ["nov-invert", *Z, "1 - t", "--field", "F4"], "field 'F4': 4 is not prime"),
+    (None, ["nov-invert", *Z, "1 - t", "--frontier", "x"],
+     "bad frontier 'x' (expected rationals like 8 or 3,4)"),
+    (None, ["nov-invert", *Z, "1 - t", "--frontier", "1/0"],
+     "bad frontier '1/0' (expected rationals like 8 or 3,4)"),
+    (None, ["nov-invert", *Z, "1 - t", "--mmax", "0"], "m_max must be >= 1"),
+    (None, ["nov-invert", "--group", str(DATA / "z.pcg"), "--char", str(BAD_MCHAR), "1 - t"],
+     "line 1: zero denominator in '1/0'"),
+    (None, ["ring-mul", str(DATA / "heis.pcg"), "1/0*a", "a"], "zero denominator in '1/0'"),
+    (None, ["ring-mul", str(DATA / "heis.pcg"), "--field", "F5", "1/5*a", "a"],
+     "1/5 has no value in F5: its denominator is divisible by 5"),
+    (None, ["ring-mul", str(DATA / "heis.pcg"), "1 + + a", "a"], "unexpected '+'"),
+    (None, ["fit-char", "--rank", "2", "0,x"],
+     "bad lattice point '0,x' (expected integers like 0,1)"),
+    (None, ["expand", *H3, "(0)^-1"], "cannot invert zero"),
+    (None, ["expand", *H3, "(1 - 1)^-1"], "cannot invert zero"),
+], ids=["env-mmax", "field", "frontier", "frontier-zero-denominator", "mmax",
+        "mchar-zero-denominator", "literal-zero-denominator", "literal-outside-field",
+        "literal-doubled-operator", "fit-char-lattice-point", "expand-invert-zero",
+        "expand-invert-zero-sum"])
+def test_bad_input_is_an_error(capsys, monkeypatch, env_mmax, argv, message):
     if env_mmax is not None:
         monkeypatch.setenv("NILNOV_MMAX", env_mmax)
-    code, out, err = run(capsys, "nov-invert",
-                         "--group", str(DATA / "z.pcg"),
-                         "--char", str(DATA / "chi_z.mchar"),
-                         "1 - t", *extra)
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
 
