@@ -40,7 +40,7 @@ class Char:
 class MultiChar:
     """One character per level of a PcGroup's stored central series."""
 
-    def __init__(self, group, components, signs=None):
+    def __init__(self, group, components):
         if len(components) != group.nlevels:
             raise MismatchedGroup("component count must equal the series length")
         self.group = group
@@ -55,7 +55,6 @@ class MultiChar:
             if len(values) != len(group.level_gens[i]):
                 raise MismatchedGroup(f"level {i} expects {len(group.level_gens[i])} values")
             self.components.append(Char(i, values))
-        self.signs = signs
 
     def deg(self, elt):
         """Degree tuple of a normal form: chi_i applied per level syllable."""
@@ -66,7 +65,7 @@ class MultiChar:
         """Componentwise sign flip; signs is a list of +1/-1 per level."""
         comps = [[s * v for v in comp.values]
                  for s, comp in zip(signs, self.components)]
-        return MultiChar(self.group, comps, signs=list(signs))
+        return MultiChar(self.group, comps)
 
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
@@ -176,7 +175,7 @@ def solve_strict(diffs, rank):
     diffs = [list(map(Fraction, d)) for d in diffs]
     for d in diffs:
         if len(d) != rank:
-            raise ValueError("difference vector of wrong rank")
+            raise MismatchedGroup("difference vector of wrong rank")
     systems = [None] * rank
     current = diffs
     for k in range(rank - 1, 0, -1):
@@ -235,10 +234,12 @@ def fit_character(lattice_rank, chain):
     The chain entries are integer vectors of the given rank; an Infeasible
     error signals that no homomorphism to R realizes the chain.
     """
+    if lattice_rank < 1:
+        raise MismatchedGroup(f"lattice rank must be at least 1, got {lattice_rank}")
     chain = [list(p) for p in chain]
     for p in chain:
         if len(p) != lattice_rank:
-            raise ValueError("chain entry of wrong rank")
+            raise MismatchedGroup("chain entry of wrong rank")
     if len(chain) <= 1:
         return [Fraction(1 if i == 0 else 0) for i in range(lattice_rank)]
     diffs = [[b - a for a, b in zip(p, q)] for p, q in zip(chain, chain[1:])]

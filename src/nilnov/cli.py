@@ -6,7 +6,6 @@ verdict, 1 error.
 """
 
 import argparse
-import itertools
 import sys
 
 from . import __version__
@@ -16,7 +15,7 @@ from .fields import field_by_name, parse_rational
 from .fracparse import parse_fraction_expr
 from .groupring import GroupRing, ring_mul
 from .homology import (INCONCLUSIVE, betti, euler_check, nov_cohomology,
-                       theorem_f)
+                       pattern_label, sign_patterns, theorem_f)
 from .novikov import (DEFAULT_FRONTIER_ENTRY, NovContext, Trunc, expand,
                       format_series, nov_invert, series_from_elt)
 from .pcgroup import free_abelianization_refine, lower_central_series, parse_pc
@@ -67,118 +66,320 @@ def _frontier_str(trunc):
     return ",".join(str(t) for t in trunc.frontier)
 
 
-def _header(out, verb, cfg):
-    out.append(f"# {FORMAT_VERSION}")
-    out.append(f"# verb: {verb}")
-    for key in sorted(cfg):
-        out.append(f"# {key}: {cfg[key]}")
+def _header(verb, cfg):
+    """The header lines that echo a run's effective configuration."""
+    return ([f"# {FORMAT_VERSION}", f"# verb: {verb}"]
+            + [f"# {key}: {cfg[key]}" for key in sorted(cfg)])
 
 
 def _quotient_for(pres, kind):
-    if kind in ("self", "ab", "c1"):
+    if kind in ("self", "c1"):
         return nilpotent_quotient(pres, 1)
     if kind == "c2":
         return nilpotent_quotient(pres, 2)
     raise NilnovError(f"unknown quotient {kind!r} (use self, c1 or c2)")
 
 
-def _add_field_opts(sp):
-    # field_by_name raises ParseError, which argparse does not catch, so a
-    # bad name reaches main's error handler
-    sp.add_argument("--field", default="Q", type=field_by_name,
-                    help="coefficient field: Q or F<p>")
+# -- one handler per verb: each returns (stdout lines, exit code)
+
+def _collect(args):
+    G = _load_group(args.group)
+    return [G.format_elt(G.collect(G.parse_word(args.word)))], 0
 
 
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _order(args):
+    G = _load_group(args.group)
+    primary = {}
+    if args.char:
+        chi = parse_mchar(_read(args.char), G)
+        primary = {i: [list(c.values)] for i, c in enumerate(chi.components)}
+    order = LexOrder(G, primary)
+    sign = order.compare(G.collect(G.parse_word(args.left)),
+                         G.collect(G.parse_word(args.right)))
+    return [{-1: "less", 0: "equal", 1: "greater"}[sign]], 0
+
+
+def _fit_char(args):
+    chain = []
+    for part in args.chain.split(";"):
+        part = part.strip()
+        if part:
+            try:
+                chain.append([int(x) for x in part.split(",")])
+            except ValueError:
+                raise ParseError(f"bad lattice point {part!r} (expected integers like 0,1)")
+    values = fit_character(args.rank, chain)
+    return [" ".join(str(v) for v in values)], 0
+
+
+def _lcs(args):
+    G = _load_group(args.group)
+    series = lower_central_series(G, args.depth)
+    out = _header("lcs", {"group": G.name, "class": args.depth})
+    for i, (gam, iso) in enumerate(zip(series.gammas, series.isolators)):
+        gdesc = ", ".join(gam.describe()) or "1"
+        idesc = ", ".join(iso.describe()) or "1"
+        out.append(f"gamma_{i} = <{gdesc}>  isolator = <{idesc}>")
+    if series.class_exceeded:
+        out.append("note: requested class exceeds the group's class (trivial tail)")
+    return out, 0
+
+
+def _refine(args):
+    G = _load_group(args.group)
+    series = free_abelianization_refine(G)
+    out = _header("refine", {"group": G.name})
+    for i, term in enumerate(series.terms):
+        desc = ", ".join(term.describe()) or "1"
+        out.append(f"K_{i} = <{desc}>")
+    return out, 0
+
+
+def _ring_mul(args):
+    ring = GroupRing(_load_group(args.group), args.field)
+    return [str(ring_mul(ring.parse(args.x), ring.parse(args.y)))], 0
+
+
+def _series_setup(args, verb):
+    """Ring, multicharacter, truncation and header lines of nov-invert and expand."""
+    G = _load_group(args.group)
+    ring = GroupRing(G, args.field)
+    chi = parse_mchar(_read(args.char), G)
+    trunc = _trunc(args, G.nlevels)
+    out = _header(verb, {
+        "group": G.name, "field": args.field.name,
+        "frontier": _frontier_str(trunc),
+        "m_max": trunc.m_max, "pattern": "+" * G.nlevels,
+    })
+    return ring, chi, trunc, out
+
+
+def _nov_invert(args):
+    ring, chi, trunc, out = _series_setup(args, "nov-invert")
+    result = nov_invert(series_from_elt(NovContext(chi, trunc), ring.parse(args.element)))
+    out.append(format_series(result))
+    return out, 0
+
+
+def _expand(args):
+    ring, chi, trunc, out = _series_setup(args, "expand")
+    result = expand(parse_fraction_expr(args.expression, ring), chi, trunc)
+    out.append(format_series(result))
+    return out, 0
+
+
+def _fox(args):
+    P = _load_presentation(args.presentation)
+    if args.quotient == "free":
+        cx = fox_complex(P, None, args.field)
+    else:
+        cx = fox_complex(P, _quotient_for(P, args.quotient), args.field, project=True)
+    out = _header("fox", {"presentation": P.name, "field": args.field.name,
+                          "entries": args.quotient})
+    out.append("d1 (one column per generator):")
+    for name, e in zip(P.gen_names, cx.d1):
+        out.append(f"  d({name}) = {e}")
+    for j, row in enumerate(cx.d2):
+        out.append(f"d2 row for relator {P.free_group.format_elt(P.relators[j])}:")
+        for name, e in zip(P.gen_names, row):
+            out.append(f"  dr/d{name} = {e}")
+    out.append("composite check: d1.d2 = 0 verified" if cx.projected
+               else "composite check: Fox identity verified")
+    return out, 0
+
+
+def _nq(args):
+    P = _load_presentation(args.presentation)
+    q = nilpotent_quotient(P, args.depth)
+    out = _header("nq", {"presentation": P.name, "class": args.depth})
+    Q = q.target
+    for lvl, names in enumerate(Q.level_gens):
+        out.append(f"level {lvl}: " + (" ".join(names) if names else "(empty)"))
+    for (y, x), w in sorted(Q.conj_tails.items()):
+        out.append(f"conj {Q.gen_names[y]} {Q.gen_names[x]} = {Q.format_elt(w)}")
+    for name, img in zip(P.gen_names, q.images):
+        out.append(f"image {name} -> {Q.format_elt(img)}")
+    return out, 0
+
+
+def _betti(args):
+    P = _load_presentation(args.presentation)
+    report = betti(fox_complex(P, None, args.field), args.field)
+    out = _header("betti", {"presentation": P.name, "field": args.field.name})
+    out.append("betti: " + " ".join(str(b) for b in report.betti))
+    return out, 0
+
+
+def _nov_h(args):
+    P = _load_presentation(args.presentation)
+    qmap = _quotient_for(P, args.quotient)
+    n = qmap.target.nlevels
+    chi = parse_mchar(_read(args.char), qmap.target)
+    trunc = _trunc(args, n)
+    if args.sweep:
+        patterns = sign_patterns(n)
+    elif args.sign is None:
+        patterns = [[1] * n]
+    elif set(args.sign) <= {"+", "-"} and len(args.sign) == n:
+        patterns = [[1 if ch == "+" else -1 for ch in args.sign]]
+    else:
+        raise ParseError(f"bad sign pattern {args.sign!r} "
+                         f"(expected one + or - per level, {n} in all)")
+    cx = fox_complex(P, qmap, args.field, project=(args.entries == "projected"))
+    fr = _frontier_str(trunc)
+    out = _header("nov-h", {
+        "presentation": P.name, "field": args.field.name, "frontier": fr,
+        "m_max": trunc.m_max, "degree": args.degree,
+        "entries": args.entries,
+        "pattern": "sweep" if args.sweep else pattern_label(patterns[0]),
+    })
+    worst = 0
+    for signs in patterns:
+        rep = nov_cohomology(cx, chi, args.degree, trunc, signs=signs)
+        out.extend(rep.describe_lines())
+        out.append(f"verdict {rep.pattern} {args.degree} {rep.verdicts[args.degree]} {fr}")
+        if rep.verdicts[args.degree] == INCONCLUSIVE:
+            worst = 2
+    return out, worst
+
+
+def _theorem_f(args):
+    P = _load_presentation(args.presentation)
+    qmap = _quotient_for(P, args.quotient)
+    chi = parse_mchar(_read(args.char), qmap.target)
+    trunc = _trunc(args, qmap.target.nlevels)
+    verdict = theorem_f(P, qmap, chi, args.degree, trunc, field=args.field)
+    fr = _frontier_str(trunc)
+    out = _header("theorem-f", {
+        "presentation": P.name, "field": args.field.name, "frontier": fr,
+        "m_max": trunc.m_max, "degree": args.degree, "pattern": "sweep",
+    })
+    for label, rep in zip(verdict.patterns, verdict.reports):
+        out.append(f"pattern {label}: H^{args.degree} {rep.verdicts[args.degree]}"
+                   f" (stable={rep.stable})")
+    for label, rep in zip(verdict.patterns, verdict.reports):
+        out.append(f"verdict {label} {args.degree} {rep.verdicts[args.degree]} {fr}")
+    out.append(f"conclusion: {verdict.conclusion}")
+    return out, 0 if verdict.conclusion != INCONCLUSIVE else 2
+
+
+def _euler(args):
+    P = _load_presentation(args.presentation)
+    cx = fox_complex(P, None, args.field)
+    report = betti(cx, args.field)
+    euler_check(cx, [report])
+    out = _header("euler", {"presentation": P.name, "field": args.field.name})
+    out.append(f"chi(C) = {cx.euler_characteristic()}")
+    out.append(f"alternating betti sum = {report.alternating_sum()}")
+    out.append("consistent")
+    return out, 0
+
+
+def _parser():
     parser = _Parser(prog="nilnov")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    # options shared by several verbs
+    char = argparse.ArgumentParser(add_help=False)
+    char.add_argument("--char", "--chi", required=True, help=".mchar file")
+    trunc = argparse.ArgumentParser(add_help=False)
+    trunc.add_argument("--frontier")
+    trunc.add_argument("--mmax", type=int)
+    # field_by_name raises ParseError, which argparse does not catch, so a
+    # bad name reaches main's error handler
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", default="Q", type=field_by_name,
+                       help="coefficient field: Q or F<p>")
+    degree = argparse.ArgumentParser(add_help=False)
+    degree.add_argument("--degree", "-d", type=int, default=2)
+
     p = sub.add_parser("collect", help="normal form of a word")
     p.add_argument("group")
     p.add_argument("word")
+    p.set_defaults(run=_collect)
 
     p = sub.add_parser("order", help="compare two elements in a lexicographic order")
     p.add_argument("group")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--char", "--chi", help=".mchar file used as primary order rows")
+    p.set_defaults(run=_order)
 
     p = sub.add_parser("fit-char", help="character strictly increasing on a chain")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("chain", help="semicolon-separated lattice points, e.g. '0,1; 1,0; 1,1'")
+    p.set_defaults(run=_fit_char)
 
     p = sub.add_parser("lcs", help="lower central series with isolators")
     p.add_argument("group")
     p.add_argument("--class", dest="depth", type=int, default=3)
+    p.set_defaults(run=_lcs)
 
     p = sub.add_parser("refine", help="free-abelianisation refinement series")
     p.add_argument("group")
+    p.set_defaults(run=_refine)
 
-    p = sub.add_parser("ring-mul", help="product of two group-ring elements")
+    p = sub.add_parser("ring-mul", parents=[field], help="product of two group-ring elements")
     p.add_argument("group")
     p.add_argument("x")
     p.add_argument("y")
-    _add_field_opts(p)
+    p.set_defaults(run=_ring_mul)
 
-    p = sub.add_parser("nov-invert", help="certified truncated inverse")
+    p = sub.add_parser("nov-invert", parents=[char, trunc, field],
+                       help="certified truncated inverse")
     p.add_argument("element")
     p.add_argument("--group", required=True)
-    p.add_argument("--char", "--chi", required=True)
-    p.add_argument("--frontier")
-    p.add_argument("--mmax", type=int)
-    _add_field_opts(p)
+    p.set_defaults(run=_nov_invert)
 
-    p = sub.add_parser("expand", help="expand an iterated fraction expression")
+    p = sub.add_parser("expand", parents=[char, trunc, field],
+                       help="expand an iterated fraction expression")
     p.add_argument("expression")
     p.add_argument("--group", required=True)
-    p.add_argument("--char", "--chi", required=True)
-    p.add_argument("--frontier")
-    p.add_argument("--mmax", type=int)
-    _add_field_opts(p)
+    p.set_defaults(run=_expand)
 
-    p = sub.add_parser("fox", help="Fox matrices of a presentation")
+    p = sub.add_parser("fox", parents=[field], help="Fox matrices of a presentation")
     p.add_argument("presentation")
     p.add_argument("--quotient", default="free", help="free, self, c1 or c2")
-    _add_field_opts(p)
+    p.set_defaults(run=_fox)
 
     p = sub.add_parser("nq", help="torsion-free nilpotent quotient")
     p.add_argument("presentation")
     p.add_argument("--class", dest="depth", type=int, default=1)
+    p.set_defaults(run=_nq)
 
-    p = sub.add_parser("betti", help="field Betti numbers of the presentation complex")
+    p = sub.add_parser("betti", parents=[field],
+                       help="field Betti numbers of the presentation complex")
     p.add_argument("presentation")
-    _add_field_opts(p)
+    p.set_defaults(run=_betti)
 
-    p = sub.add_parser("nov-h", help="Novikov cohomology verdicts")
+    p = sub.add_parser("nov-h", parents=[char, trunc, field, degree],
+                       help="Novikov cohomology verdicts")
     p.add_argument("presentation")
-    p.add_argument("--char", "--chi", required=True)
     p.add_argument("--quotient", default="c1")
-    p.add_argument("--degree", "-d", type=int, default=2)
-    p.add_argument("--frontier")
-    p.add_argument("--mmax", type=int)
-    p.add_argument("--sign", help="sign pattern like '+-' (one per level)")
-    p.add_argument("--sweep", action="store_true", help="all 2^n sign patterns")
+    signs = p.add_mutually_exclusive_group()
+    signs.add_argument("--sign", help="sign pattern like '+-' (one per level)")
+    signs.add_argument("--sweep", action="store_true", help="all 2^n sign patterns")
     p.add_argument("--entries", default="free", choices=["free", "projected"])
-    _add_field_opts(p)
+    p.set_defaults(run=_nov_h)
 
-    p = sub.add_parser("theorem-f", help="top-degree sign-sweep criterion")
+    p = sub.add_parser("theorem-f", parents=[char, trunc, field, degree],
+                       help="top-degree sign-sweep criterion")
     p.add_argument("presentation")
-    p.add_argument("--char", "--chi", required=True)
     p.add_argument("--quotient", default="self")
-    p.add_argument("--degree", "-d", type=int, default=2)
-    p.add_argument("--frontier")
-    p.add_argument("--mmax", type=int)
-    _add_field_opts(p)
+    p.set_defaults(run=_theorem_f)
 
-    p = sub.add_parser("euler", help="Euler-characteristic consistency check")
+    p = sub.add_parser("euler", parents=[field], help="Euler-characteristic consistency check")
     p.add_argument("presentation")
-    _add_field_opts(p)
+    p.set_defaults(run=_euler)
+    return parser
 
+
+def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-        out, code = _dispatch(args)
+        args = _parser().parse_args(argv)
+        out, code = args.run(args)
     except SystemExit as e:
         return int(e.code or 0)
     except NilnovError as e:
@@ -189,198 +390,6 @@ def main(argv=None):
         return 1
     print("\n".join(out))
     return code
-
-
-def _dispatch(args):
-    out = []
-    verb = args.verb
-
-    if verb == "collect":
-        G = _load_group(args.group)
-        elt = G.collect(G.parse_word(args.word))
-        out.append(G.format_elt(elt))
-        return out, 0
-
-    if verb == "order":
-        G = _load_group(args.group)
-        primary = {}
-        if args.char:
-            chi = parse_mchar(_read(args.char), G)
-            primary = {i: [list(c.values)] for i, c in enumerate(chi.components)}
-        order = LexOrder(G, primary)
-        sign = order.compare(G.collect(G.parse_word(args.left)),
-                             G.collect(G.parse_word(args.right)))
-        out.append({-1: "less", 0: "equal", 1: "greater"}[sign])
-        return out, 0
-
-    if verb == "fit-char":
-        chain = []
-        for part in args.chain.split(";"):
-            part = part.strip()
-            if part:
-                try:
-                    chain.append([int(x) for x in part.split(",")])
-                except ValueError:
-                    raise ParseError(f"bad lattice point {part!r} (expected integers like 0,1)")
-        values = fit_character(args.rank, chain)
-        out.append(" ".join(str(v) for v in values))
-        return out, 0
-
-    if verb == "lcs":
-        G = _load_group(args.group)
-        series = lower_central_series(G, args.depth)
-        _header(out, "lcs", {"group": G.name, "class": args.depth})
-        for i, (gam, iso) in enumerate(zip(series.gammas, series.isolators)):
-            gdesc = ", ".join(gam.describe()) or "1"
-            idesc = ", ".join(iso.describe()) or "1"
-            out.append(f"gamma_{i} = <{gdesc}>  isolator = <{idesc}>")
-        if series.class_exceeded:
-            out.append("note: requested class exceeds the group's class (trivial tail)")
-        return out, 0
-
-    if verb == "refine":
-        G = _load_group(args.group)
-        series = free_abelianization_refine(G)
-        _header(out, "refine", {"group": G.name})
-        for i, term in enumerate(series.terms):
-            desc = ", ".join(term.describe()) or "1"
-            out.append(f"K_{i} = <{desc}>")
-        return out, 0
-
-    if verb == "ring-mul":
-        G = _load_group(args.group)
-        ring = GroupRing(G, args.field)
-        prod = ring_mul(ring.parse(args.x), ring.parse(args.y))
-        out.append(str(prod))
-        return out, 0
-
-    if verb in ("nov-invert", "expand"):
-        G = _load_group(args.group)
-        ring = GroupRing(G, args.field)
-        chi = parse_mchar(_read(args.char), G)
-        trunc = _trunc(args, G.nlevels)
-        _header(out, verb, {
-            "group": G.name, "field": args.field.name,
-            "frontier": _frontier_str(trunc),
-            "m_max": trunc.m_max, "pattern": "+" * G.nlevels,
-        })
-        if verb == "nov-invert":
-            ctx = NovContext(chi, trunc)
-            result = nov_invert(series_from_elt(ctx, ring.parse(args.element)))
-        else:
-            frac = parse_fraction_expr(args.expression, ring)
-            result = expand(frac, chi, trunc)
-        out.append(format_series(result))
-        return out, 0
-
-    if verb == "fox":
-        P = _load_presentation(args.presentation)
-        if args.quotient == "free":
-            cx = fox_complex(P, None, args.field)
-        else:
-            cx = fox_complex(P, _quotient_for(P, args.quotient), args.field, project=True)
-        _header(out, "fox", {"presentation": P.name, "field": args.field.name,
-                             "entries": args.quotient})
-        out.append("d1 (one column per generator):")
-        for name, e in zip(P.gen_names, cx.d1):
-            out.append(f"  d({name}) = {e}")
-        for j, row in enumerate(cx.d2):
-            out.append(f"d2 row for relator {P.free_group.format_elt(P.relators[j])}:")
-            for name, e in zip(P.gen_names, row):
-                out.append(f"  dr/d{name} = {e}")
-        out.append("composite check: d1.d2 = 0 verified" if cx.projected
-                   else "composite check: Fox identity verified")
-        return out, 0
-
-    if verb == "nq":
-        P = _load_presentation(args.presentation)
-        q = nilpotent_quotient(P, args.depth)
-        _header(out, "nq", {"presentation": P.name, "class": args.depth})
-        Q = q.target
-        for lvl, names in enumerate(Q.level_gens):
-            out.append(f"level {lvl}: " + (" ".join(names) if names else "(empty)"))
-        for (y, x), w in sorted(Q.conj_tails.items()):
-            out.append(f"conj {Q.gen_names[y]} {Q.gen_names[x]} = {Q.format_elt(w)}")
-        for name, img in zip(P.gen_names, q.images):
-            out.append(f"image {name} -> {Q.format_elt(img)}")
-        return out, 0
-
-    if verb == "betti":
-        P = _load_presentation(args.presentation)
-        cx = fox_complex(P, None, args.field)
-        report = betti(cx, args.field)
-        _header(out, "betti", {"presentation": P.name, "field": args.field.name})
-        out.append("betti: " + " ".join(str(b) for b in report.betti))
-        return out, 0
-
-    if verb == "nov-h":
-        P = _load_presentation(args.presentation)
-        qmap = _quotient_for(P, args.quotient)
-        chi = parse_mchar(_read(args.char), qmap.target)
-        trunc = _trunc(args, qmap.target.nlevels)
-        cx = fox_complex(P, qmap, args.field, project=(args.entries == "projected"))
-        patterns = _patterns(args, qmap.target.nlevels)
-        fr = _frontier_str(trunc)
-        _header(out, "nov-h", {
-            "presentation": P.name, "field": args.field.name, "frontier": fr,
-            "m_max": trunc.m_max, "degree": args.degree,
-            "entries": args.entries,
-            "pattern": "sweep" if args.sweep else _pattern_str(patterns[0]),
-        })
-        worst = 0
-        for signs in patterns:
-            rep = nov_cohomology(cx, chi, args.degree, trunc, signs=list(signs))
-            out.extend(rep.describe_lines())
-            out.append(f"verdict {rep.pattern} {args.degree} {rep.verdicts[args.degree]} {fr}")
-            if rep.verdicts[args.degree] == INCONCLUSIVE:
-                worst = 2
-        return out, worst
-
-    if verb == "theorem-f":
-        P = _load_presentation(args.presentation)
-        qmap = _quotient_for(P, args.quotient)
-        chi = parse_mchar(_read(args.char), qmap.target)
-        trunc = _trunc(args, qmap.target.nlevels)
-        verdict = theorem_f(P, qmap, chi, args.degree, trunc, field=args.field)
-        fr = _frontier_str(trunc)
-        _header(out, "theorem-f", {
-            "presentation": P.name, "field": args.field.name, "frontier": fr,
-            "m_max": trunc.m_max, "degree": args.degree, "pattern": "sweep",
-        })
-        for label, rep in zip(verdict.patterns, verdict.reports):
-            out.append(f"pattern {label}: H^{args.degree} {rep.verdicts[args.degree]}"
-                       f" (stable={rep.stable})")
-        for label, rep in zip(verdict.patterns, verdict.reports):
-            out.append(f"verdict {label} {args.degree} {rep.verdicts[args.degree]} {fr}")
-        out.append(f"conclusion: {verdict.conclusion}")
-        return out, 0 if verdict.conclusion != INCONCLUSIVE else 2
-
-    if verb == "euler":
-        P = _load_presentation(args.presentation)
-        cx = fox_complex(P, None, args.field)
-        report = betti(cx, args.field)
-        euler_check(cx, [report])
-        _header(out, "euler", {"presentation": P.name, "field": args.field.name})
-        out.append(f"chi(C) = {cx.euler_characteristic()}")
-        out.append(f"alternating betti sum = {report.alternating_sum()}")
-        out.append("consistent")
-        return out, 0
-
-    raise NilnovError(f"unknown verb {verb!r}")
-
-
-def _patterns(args, n):
-    if args.sweep:
-        return list(itertools.product((1, -1), repeat=n))
-    if args.sign:
-        if len(args.sign) != n:
-            raise NilnovError(f"sign pattern needs {n} entries")
-        return [tuple(1 if ch == "+" else -1 for ch in args.sign)]
-    return [tuple([1] * n)]
-
-
-def _pattern_str(signs):
-    return "".join("+" if s > 0 else "-" for s in signs)
 
 
 if __name__ == "__main__":

@@ -12,14 +12,13 @@ the offending column, never as a verdict.
 """
 
 import itertools
-from fractions import Fraction
 
-from .errors import (DimensionMismatch, InconsistentReport, NoStrictMinimum,
-                     TruncationInsufficient)
+from .errors import (DimensionMismatch, InconsistentReport, MismatchedCharacter,
+                     MismatchedGroup, NoStrictMinimum, TruncationInsufficient)
 from .fields import QQ, rank
 from .groupring import augment, ring_mul
-from .novikov import (NovContext, NovSeries, Trunc, beyond_frontier,
-                      minimal_term, nov_invert)
+from .novikov import (NovContext, NovSeries, beyond_frontier, minimal_term,
+                      nov_invert)
 from .presentations import fox_complex
 
 VANISHES = "vanishes-at-truncation"
@@ -31,40 +30,34 @@ OBSTRUCTION = "obstruction-found"
 
 
 class RankReport:
-    def __init__(self, kind, ranks):
-        self.kind = kind            # "field" | "novikov"
-        self.ranks = ranks          # module ranks (r0, r1, r2)
-        self.betti = None           # field mode
-        self.field = None
-        self.h = {}                 # degree -> dimension or None
-        self.verdicts = {}          # degree -> verdict string (novikov mode)
+    def __init__(self, h):
+        self.h = h                  # degree -> dimension, None when undetermined
+        self.verdicts = {}          # degree -> verdict string (Novikov reports)
         self.pattern = None
         self.frontier = None
         self.frontier2 = None
         self.stable = None
         self.witnesses = {}         # degree -> formatted witness cocycle
         self.obstructions = {}      # degree -> description of the stall
-        self.elim_ranks = {}        # boundary index -> certified rank
+
+    @property
+    def betti(self):
+        return [self.h[d] for d in sorted(self.h)]
 
     def alternating_sum(self):
-        if self.kind == "field":
-            return sum((-1) ** i * b for i, b in enumerate(self.betti))
-        if any(v is None for v in self.h.values()) or len(self.h) < 3:
+        if None in self.h.values():
             return None
         return sum((-1) ** d * v for d, v in self.h.items())
 
     def describe_lines(self):
         lines = []
-        if self.kind == "field":
-            lines.append(f"betti {self.field}: " + " ".join(str(b) for b in self.betti))
-            return lines
         for d in sorted(self.verdicts):
             extra = ""
             if d in self.witnesses:
                 extra = f" witness={self.witnesses[d]}"
             if d in self.obstructions:
                 extra = f" obstruction={self.obstructions[d]}"
-            hd = self.h.get(d)
+            hd = self.h[d]
             lines.append(f"H^{d} [{self.pattern}]: {self.verdicts[d]}"
                          f" (h={'?' if hd is None else hd}, stable={self.stable}){extra}")
         return lines
@@ -88,21 +81,27 @@ def betti(cx, field):
     a2 = [[augment(e) for e in row] for row in cx.d2]  # r2 x r1
     rk1 = rank(a1, field)
     rk2 = rank(a2, field)
-    report = RankReport("field", cx.ranks)
-    report.field = field
-    bs = [r0 - rk1, r1 - rk1 - rk2]
+    h = {0: r0 - rk1, 1: r1 - rk1 - rk2}
     if r2:
-        bs.append(r2 - rk2)
-    report.betti = bs
-    report.h = {i: b for i, b in enumerate(bs)}
-    report.elim_ranks = {1: rk1, 2: rk2}
-    return report
+        h[2] = r2 - rk2
+    return RankReport(h)
+
+
+def sign_patterns(n):
+    """The 2^n sign patterns of an n-level multicharacter, all-plus first."""
+    return list(itertools.product((1, -1), repeat=n))
+
+
+def pattern_label(signs):
+    """A sign pattern written as a string of '+' and '-', one per level."""
+    return "".join("+" if s > 0 else "-" for s in signs)
 
 
 # -- Novikov elimination ---------------------------------------------------
 
 def _entry_status(ctx, elt, inv_ctx):
-    """('zero', None) | ('pivot', inverse body) | ('stuck', reason) | ('trunc', None)
+    """('zero', None) | ('pivot', (minimal degree, inverse body)) |
+    ('stuck', reason) | ('trunc', None)
 
     Matrix entries are exact ring elements; an entry all of whose terms sit
     at or beyond the frontier counts as zero at truncation.  Inverses are
@@ -112,12 +111,12 @@ def _entry_status(ctx, elt, inv_ctx):
     if beyond_frontier(ctx, elt):
         return ("zero", None)
     try:
-        minimal_term(ctx, elt)
+        _, _, deg = minimal_term(ctx, elt)
     except NoStrictMinimum as e:
         return ("stuck", str(e))
     try:
         inv = nov_invert(NovSeries(inv_ctx, elt))
-        return ("pivot", inv.body)
+        return ("pivot", (deg, inv.body))
     except TruncationInsufficient:
         return ("trunc", None)
 
@@ -133,34 +132,20 @@ class _Elimination:
 
     def __init__(self, cx, chi, trunc):
         self.cx = cx
-        self.chi = chi
         project = None
         if not cx.projected:
             if cx.qmap is None:
-                raise ValueError("free-entry complex needs a quotient map for degrees")
+                raise MismatchedGroup("free-entry complex needs a quotient map for degrees")
             if chi.group is not cx.qmap.target:
-                raise ValueError("multicharacter lives on the wrong group")
+                raise MismatchedGroup("multicharacter lives on the wrong group")
             project = cx.qmap.apply_word
         elif chi.group is not cx.ring.group:
-            raise ValueError("multicharacter lives on the wrong group")
+            raise MismatchedGroup("multicharacter lives on the wrong group")
         self.ctx = NovContext(chi, trunc, project)
-        ring = cx.ring
-        self.ring = ring
         self.M1 = list(cx.d1)
         self.M2 = [list(row) for row in cx.d2]
-        # exact value of (row j of d2) . d1: zero over the quotient ring, and
-        # r_j - 1 over the free ring (the Fox identity); the d1 stage uses it
-        # to recognize the consumed column as zero in the presented group's
-        # ring even though free words cannot cancel it.
-        self.composite = []
-        for j in range(cx.ranks[2]):
-            if cx.projected:
-                self.composite.append(ring.zero())
-            else:
-                self.composite.append(
-                    ring.monomial(ring.field.one, cx.presentation.relators[j]) - ring.one())
         r1 = cx.ranks[1]
-        one, zero = ring.one(), ring.zero()
+        one, zero = cx.ring.one(), cx.ring.zero()
         # accumulated P1 base change A (original = A * final coordinates)
         self.A = [[one if i == j else zero for j in range(r1)] for i in range(r1)]
         self.rank1 = 0
@@ -169,26 +154,17 @@ class _Elimination:
         self.used_rows = set()
         self.stall1 = None
         self.stall2 = None
-        self.trunc_trouble = False
-
-    def _zero_at_trunc(self, elt):
-        return beyond_frontier(self.ctx, elt)
 
     def _inv_ctx(self):
         """Context for pivot inversion, widened by the negative degree depth
         present in the current matrices: multiplying a cleared residual by
         such an entry may lower degrees by that much, and the result must
         still certify at the reporting frontier."""
-        n = len(self.ctx.trunc.frontier)
-        slack = [Fraction(0)] * n
-        for elt in list(self.M1) + [e for row in self.M2 for e in row]:
-            for g in elt.terms:
-                d = self.ctx.deg(g)
-                for i in range(n):
-                    if -d[i] > slack[i]:
-                        slack[i] = -d[i]
-        t = self.ctx.trunc
-        return self.ctx.with_trunc(Trunc([a + b for a, b in zip(t.frontier, slack)], t.m_max))
+        entries = self.M1 + [e for row in self.M2 for e in row]
+        degs = [self.ctx.deg(g) for elt in entries for g in elt.terms]
+        trunc = self.ctx.trunc
+        depth = [-min((d[i] for d in degs), default=0) for i in range(len(trunc.frontier))]
+        return self.ctx.with_trunc(trunc.widened(depth))
 
     # -- stage 1: the column M1
 
@@ -196,14 +172,12 @@ class _Elimination:
         inv_ctx = self._inv_ctx()
         candidates = []
         for i, e in enumerate(self.M1):
-            status, inv = _entry_status(self.ctx, e, inv_ctx)
+            status, data = _entry_status(self.ctx, e, inv_ctx)
             if status == "pivot":
-                _, _, deg = minimal_term(self.ctx, e)
+                deg, inv = data
                 candidates.append((deg, i, inv))
-            elif status == "trunc":
-                self.trunc_trouble = True
         if not candidates:
-            if all(self._zero_at_trunc(e) for e in self.M1):
+            if all(beyond_frontier(self.ctx, e) for e in self.M1):
                 self.rank1 = 0
                 return True  # certified zero map
             self.stall1 = "no invertible entry in d1"
@@ -215,12 +189,12 @@ class _Elimination:
             if i == i0:
                 continue
             e = self.M1[i]
-            if self._zero_at_trunc(e):
+            if beyond_frontier(self.ctx, e):
                 continue
             c = ring_mul(e, pinv)
             # row op on M1: row_i -= c * row_i0   (A^-1 acting on the left)
             self.M1[i] = e - ring_mul(c, p)
-            if not self._zero_at_trunc(self.M1[i]):
+            if not beyond_frontier(self.ctx, self.M1[i]):
                 raise TruncationInsufficient("d1 clearing left sub-frontier residue")
             # inverse op on A:  A <- A * (I + E_{i,i0} c)
             for r in range(len(self.A)):
@@ -231,12 +205,13 @@ class _Elimination:
         self.rank1 = 1
         self.consumed_cols.add(i0)
         # The consumed column of M2 is zero in the presented group's ring:
-        # row_j . d1 equals composite_j exactly, the other d1 entries are
-        # certified zero, so the column entry must agree with
-        # composite_j * p^-1 below the frontier.  Verify, then zero it.
-        zero = self.ring.zero()
+        # row_j . d1 equals cx.composite(j) exactly (free words cannot
+        # cancel r_j - 1), the other d1 entries are certified zero, so the
+        # column entry must agree with composite(j) * p^-1 below the
+        # frontier.  Verify, then zero it.
+        zero = self.cx.ring.zero()
         for j, row in enumerate(self.M2):
-            expected = ring_mul(self.composite[j], pinv)
+            expected = ring_mul(self.cx.composite(j), pinv)
             if not beyond_frontier(self.ctx, row[i0] - expected):
                 raise TruncationInsufficient(
                     f"column {i0} of d2 did not clear after the d1 stage")
@@ -261,12 +236,11 @@ class _Elimination:
                     e = self.M2[r][c]
                     status, data = _entry_status(self.ctx, e, inv_ctx)
                     if status == "pivot":
-                        _, _, deg = minimal_term(self.ctx, e)
-                        candidates.append((deg, c, r, data))
+                        deg, inv = data
+                        candidates.append((deg, c, r, inv))
                     elif status == "stuck":
                         stuck_cols.setdefault(c, data)
                     elif status == "trunc":
-                        self.trunc_trouble = True
                         stuck_cols.setdefault(c, "certificate exhausted m_max")
             if not candidates:
                 if stuck_cols:
@@ -286,21 +260,21 @@ class _Elimination:
             if r == r0 or r in self.used_rows:
                 continue
             e = self.M2[r][c0]
-            if self._zero_at_trunc(e):
+            if beyond_frontier(self.ctx, e):
                 continue
             f = ring_mul(e, pinv)
             for j in range(ncols):
                 if j in self.consumed_cols:
                     continue
                 self.M2[r][j] = self.M2[r][j] - ring_mul(f, self.M2[r0][j])
-            if not self._zero_at_trunc(self.M2[r][c0]):
+            if not beyond_frontier(self.ctx, self.M2[r][c0]):
                 raise TruncationInsufficient("d2 column clearing failed its certificate")
         # clear the row with column ops (P1 base change; M1 rows there are zero)
         for j in range(ncols):
             if j == c0 or j in self.consumed_cols:
                 continue
             e = self.M2[r0][j]
-            if self._zero_at_trunc(e):
+            if beyond_frontier(self.ctx, e):
                 continue
             f = ring_mul(pinv, e)
             col_c0 = [self.M2[r][c0] for r in range(nrows)]
@@ -310,7 +284,7 @@ class _Elimination:
                 self.M2[r][j] = self.M2[r][j] - ring_mul(col_c0[r], f)
             for r in range(len(self.A)):
                 self.A[r][j] = self.A[r][j] - ring_mul(self.A[r][c0], f)
-            if not self._zero_at_trunc(self.M2[r0][j]):
+            if not beyond_frontier(self.ctx, self.M2[r0][j]):
                 raise TruncationInsufficient("d2 row clearing failed its certificate")
         self.used_rows.add(r0)
         self.consumed_cols.add(c0)
@@ -322,33 +296,28 @@ class _Elimination:
 
 
 def _run_elimination(cx, chi, trunc):
+    """One elimination at one truncation, and the report it certifies."""
     elim = _Elimination(cx, chi, trunc)
     ok1 = elim.eliminate_d1()
     ok2 = elim.eliminate_d2()
     r0, r1, r2 = cx.ranks
-    h = {0: None, 1: None, 2: None}
-    verdicts = {}
-    witnesses = {}
-    obstructions = {}
-    if ok1:
-        h[0] = r0 - elim.rank1
-    if ok1 and ok2:
-        h[1] = r1 - elim.rank1 - elim.rank2
-    if ok2:
-        h[2] = r2 - elim.rank2
-    for d in (0, 1, 2):
-        if h[d] is None:
-            verdicts[d] = INCONCLUSIVE
+    report = RankReport({0: r0 - elim.rank1 if ok1 else None,
+                         1: r1 - elim.rank1 - elim.rank2 if ok1 and ok2 else None,
+                         2: r2 - elim.rank2 if ok2 else None})
+    report.frontier = trunc.frontier
+    for d, hd in report.h.items():
+        if hd is None:
+            report.verdicts[d] = INCONCLUSIVE
             if d in (0, 1) and elim.stall1:
-                obstructions[d] = f"d1: {elim.stall1}"
+                report.obstructions[d] = f"d1: {elim.stall1}"
             if elim.stall2 and (d in (1, 2)):
-                obstructions[d] = f"d2: {elim.stall2}"
-        elif h[d] == 0:
-            verdicts[d] = VANISHES
+                report.obstructions[d] = f"d2: {elim.stall2}"
+        elif hd == 0:
+            report.verdicts[d] = VANISHES
         else:
-            verdicts[d] = WITNESS
-            witnesses[d] = _describe_witness(cx, elim, d)
-    return elim, h, verdicts, witnesses, obstructions
+            report.verdicts[d] = WITNESS
+            report.witnesses[d] = _describe_witness(cx, elim, d)
+    return elim, report
 
 
 def _describe_witness(cx, elim, degree):
@@ -373,25 +342,19 @@ def nov_cohomology(cx, chi, degree, trunc, signs=None, stability=True):
     at `degree` is re-computed at a doubled frontier and the stability flag
     records whether it survived.
     """
+    if degree not in (0, 1, 2):
+        raise DimensionMismatch(f"degree {degree} outside 0..2")
     if chi.is_zero():
-        raise ValueError("the zero multicharacter is not allowed")
-    work_chi = chi.with_signs(signs) if signs else chi
-    elim, h, verdicts, witnesses, obstructions = _run_elimination(cx, work_chi, trunc)
-    report = RankReport("novikov", cx.ranks)
-    report.field = cx.ring.field
-    report.h = h
-    report.verdicts = verdicts
-    report.witnesses = witnesses
-    report.obstructions = obstructions
-    report.pattern = "".join("+" if (signs is None or s > 0) else "-"
-                             for s in (signs or [1] * chi.group.nlevels))
-    report.frontier = trunc.frontier
-    report.elim_ranks = {1: elim.rank1, 2: elim.rank2}
+        raise MismatchedCharacter("the zero multicharacter is not allowed")
+    signs = signs or [1] * chi.group.nlevels
+    work_chi = chi.with_signs(signs)
+    _, report = _run_elimination(cx, work_chi, trunc)
+    report.pattern = pattern_label(signs)
     if stability:
         t2 = trunc.doubled()
-        _, _, verdicts2, _, _ = _run_elimination(cx, work_chi, t2)
+        _, report2 = _run_elimination(cx, work_chi, t2)
         report.frontier2 = t2.frontier
-        report.stable = verdicts2.get(degree) == verdicts.get(degree)
+        report.stable = report2.verdicts[degree] == report.verdicts[degree]
     return report
 
 
@@ -405,18 +368,15 @@ def theorem_f(presentation, qmap, chi, degree, trunc, field=None):
     if degree not in (1, 2) or degree > top:
         raise DimensionMismatch(f"degree {degree} unsupported for this complex (top {top})")
     cx = fox_complex(presentation, qmap, field or QQ, project=False)
-    n = chi.group.nlevels
-    patterns = list(itertools.product((1, -1), repeat=n))
-    reports = [nov_cohomology(cx, chi, degree, trunc, signs=list(signs))
-               for signs in patterns]
+    reports = [nov_cohomology(cx, chi, degree, trunc, signs=signs)
+               for signs in sign_patterns(chi.group.nlevels)]
     if all(r.verdicts[degree] == VANISHES and r.stable for r in reports):
         conclusion = CD_DROP
     elif any(r.verdicts[degree] == WITNESS for r in reports):
         conclusion = OBSTRUCTION
     else:
         conclusion = INCONCLUSIVE
-    labels = ["".join("+" if s > 0 else "-" for s in signs) for signs in patterns]
-    return CriterionVerdict(degree, labels, reports, conclusion, trunc)
+    return CriterionVerdict(degree, [r.pattern for r in reports], reports, conclusion, trunc)
 
 
 def euler_check(cx, reports):

@@ -103,19 +103,13 @@ class NovContext:
 
 
 class NovSeries:
-    """body + O(frontier); `nonneg` records that every retained support
-    degree is lexicographically >= 0, the precondition under which
-    truncated multiplication is exact below the frontier."""
+    """body + O(frontier)."""
 
-    __slots__ = ("ctx", "body", "nonneg")
+    __slots__ = ("ctx", "body")
 
-    def __init__(self, ctx, body, nonneg=None):
+    def __init__(self, ctx, body):
         self.ctx = ctx
         self.body = body
-        if nonneg is None:
-            zero = tuple(Fraction(0) for _ in ctx.trunc.frontier)
-            nonneg = all(ctx.deg(g) >= zero for g in body.terms)
-        self.nonneg = nonneg
 
     def __repr__(self):
         return format_series(self)
@@ -141,8 +135,7 @@ def nov_mul(x, y):
         raise MismatchedCharacter("operands carry different multicharacters")
     ctx = x.ctx.with_trunc(x.ctx.trunc.coarser(y.ctx.trunc))
     prod = ring_mul(x.body, y.body)
-    return NovSeries(ctx, truncate_elt(ctx, prod),
-                     nonneg=x.nonneg and y.nonneg)
+    return NovSeries(ctx, truncate_elt(ctx, prod))
 
 
 def minimal_term(ctx, elt):

@@ -138,29 +138,27 @@ class FreeChainComplex:
     def euler_characteristic(self):
         return self.ranks[0] - self.ranks[1] + self.ranks[2]
 
-    def check_composite(self):
-        """d1 . d2 == 0 (projected) resp. the Fox identity (free entries)."""
-        P = self.presentation
+    def composite(self, j):
+        """Exact value of (row j of d2) . d1: zero over the quotient ring,
+        r_j - 1 over free words (the Fox fundamental identity)."""
+        ring = self.ring
         if self.projected:
-            for row in self.d2:
-                total = self.ring.zero()
-                for i, entry in enumerate(row):
-                    total = total + ring_mul(entry, self.d1[i])
-                if not total.is_zero():
-                    raise AssertionError("d1 . d2 != 0 after projection")
-        else:
-            for j, row in enumerate(self.d2):
-                total = self.ring.zero()
-                for i, entry in enumerate(row):
-                    total = total + ring_mul(entry, self.d1[i])
-                rhs = self.ring.monomial(self.ring.field.one, P.relators[j]) - self.ring.one()
-                if not (total - rhs).is_zero():
-                    raise AssertionError("Fox fundamental identity failed")
+            return ring.zero()
+        return ring.monomial(ring.field.one, self.presentation.relators[j]) - ring.one()
+
+    def check_composite(self):
+        """Every row of d2 times d1 equals its exact value `composite`."""
+        for j, row in enumerate(self.d2):
+            total = self.ring.zero()
+            for entry, e1 in zip(row, self.d1):
+                total = total + ring_mul(entry, e1)
+            if not (total - self.composite(j)).is_zero():
+                raise AssertionError(f"d2 row {j} times d1 is not r_{j} - 1 (zero if projected)")
         return True
 
 
 def fox_complex(presentation, qmap=None, field=QQ, project=True):
-    """Fox chain complex; qmap=None (or "free") keeps free-group entries.
+    """Fox chain complex; qmap=None keeps free-group entries.
 
     With a qmap and project=False, entries stay free-group words while the
     quotient map is carried alongside for degree computations: this is the
@@ -169,23 +167,19 @@ def fox_complex(presentation, qmap=None, field=QQ, project=True):
     P = presentation
     fg = P.free_group
     free_ring = GroupRing(fg, field)
-    if qmap in (None, "free"):
-        qmap_obj, project = None, False
-    else:
-        qmap_obj = qmap
-    if project and qmap_obj is None:
-        raise ValueError("projection requires a quotient map")
+    if qmap is None:
+        project = False
     d1_free = [free_ring.monomial(field.one, fg.generator(i)) - free_ring.one()
                for i in range(fg.ngens)]
     d2_free = [[fox_derivative(free_ring, r, i) for i in range(fg.ngens)]
                for r in P.relators]
     if project:
-        ring = GroupRing(qmap_obj.target, field)
-        d1 = [qmap_obj.apply_elt(x, ring) for x in d1_free]
-        d2 = [[qmap_obj.apply_elt(x, ring) for x in row] for row in d2_free]
-        cx = FreeChainComplex(P, ring, d1, d2, qmap_obj, True)
+        ring = GroupRing(qmap.target, field)
+        d1 = [qmap.apply_elt(x, ring) for x in d1_free]
+        d2 = [[qmap.apply_elt(x, ring) for x in row] for row in d2_free]
     else:
-        cx = FreeChainComplex(P, free_ring, d1_free, d2_free, qmap_obj, False)
+        ring, d1, d2 = free_ring, d1_free, d2_free
+    cx = FreeChainComplex(P, ring, d1, d2, qmap, project)
     cx.check_composite()
     return cx
 

@@ -135,7 +135,9 @@ class TestVerdictsAndExitCodes:
 
 Z = ["--group", str(DATA / "z.pcg"), "--char", str(DATA / "chi_z.mchar")]
 H3 = ["--group", str(DATA / "heis.pcg"), "--char", str(DATA / "chi_h3.mchar")]
+BS12 = ["nov-h", str(DATA / "bs12.fpg"), "--char", str(DATA / "chi_z.mchar")]
 BAD_MCHAR = pathlib.Path(__file__).parent / "data" / "chi_z_zero_denominator.mchar"
+ZERO_MCHAR = pathlib.Path(__file__).parent / "data" / "chi_z_zero.mchar"
 
 
 @pytest.mark.parametrize("env_mmax,argv,message", [
@@ -156,16 +158,31 @@ BAD_MCHAR = pathlib.Path(__file__).parent / "data" / "chi_z_zero_denominator.mch
      "bad lattice point '0,x' (expected integers like 0,1)"),
     (None, ["expand", *H3, "(0)^-1"], "cannot invert zero"),
     (None, ["expand", *H3, "(1 - 1)^-1"], "cannot invert zero"),
+    (None, [*BS12, "-d", "3"], "degree 3 outside 0..2"),
+    (None, [*BS12, "-d", "-1"], "degree -1 outside 0..2"),
+    (None, ["nov-h", str(DATA / "bs12.fpg"), "--char", str(ZERO_MCHAR)],
+     "the zero multicharacter is not allowed"),
+    (None, ["fit-char", "--rank", "2", "0,1,2"], "chain entry of wrong rank"),
+    (None, ["fit-char", "--rank", "-1", ""], "lattice rank must be at least 1, got -1"),
+    (None, [*BS12, "--sign", "x"], "bad sign pattern 'x' (expected one + or - per level, 1 in all)"),
 ], ids=["env-mmax", "field", "frontier", "frontier-zero-denominator", "mmax",
         "mchar-zero-denominator", "literal-zero-denominator", "literal-outside-field",
         "literal-doubled-operator", "fit-char-lattice-point", "expand-invert-zero",
-        "expand-invert-zero-sum"])
+        "expand-invert-zero-sum", "nov-h-degree-above", "nov-h-degree-below",
+        "nov-h-zero-multicharacter", "fit-char-wrong-rank", "fit-char-rank-below-1",
+        "nov-h-sign-character"])
 def test_bad_input_is_an_error(capsys, monkeypatch, env_mmax, argv, message):
     if env_mmax is not None:
         monkeypatch.setenv("NILNOV_MMAX", env_mmax)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_sign_excludes_sweep(capsys):
+    code, out, err = run(capsys, *BS12, "--sign", "+", "--sweep")
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument --sweep: not allowed with argument --sign\n")
 
 
 class TestHeaders:

@@ -3,7 +3,8 @@ import pytest
 from nilnov import (GF, MultiChar, QQ, QuotientMap, Trunc, betti, euler_check,
                     fox_complex, nilpotent_quotient, nov_cohomology,
                     parse_presentation, theorem_f)
-from nilnov.errors import DimensionMismatch, InconsistentReport
+from nilnov.errors import (DimensionMismatch, InconsistentReport,
+                           MismatchedCharacter)
 from nilnov.homology import (CD_DROP, INCONCLUSIVE, OBSTRUCTION, VANISHES,
                              WITNESS)
 from nilnov.presentations import free_abelian_group
@@ -71,8 +72,15 @@ class TestNovCohomology:
     def test_zero_multicharacter_rejected(self, torus):
         q = nilpotent_quotient(torus, 1)
         cx = fox_complex(torus, q, QQ, project=False)
-        with pytest.raises(ValueError):
+        with pytest.raises(MismatchedCharacter):
             nov_cohomology(cx, MultiChar(q.target, [[0, 0]]), 1, Trunc([8], 32))
+
+    @pytest.mark.parametrize("degree", [-1, 3])
+    def test_degree_outside_complex_rejected(self, torus, degree):
+        q = nilpotent_quotient(torus, 1)
+        cx = fox_complex(torus, q, QQ, project=False)
+        with pytest.raises(DimensionMismatch):
+            nov_cohomology(cx, MultiChar(q.target, [[1, 0]]), degree, Trunc([8], 32))
 
     def test_pivot_certificates_reassertable(self, torus):
         # every vanishing verdict is reproduced at the doubled frontier
@@ -129,6 +137,20 @@ class TestEuler:
                 cx = fox_complex(P, None, field)
                 euler_check(cx, [betti(cx, field)])
 
+    @pytest.mark.parametrize("name,cls,chi,degree,trunc", [
+        ("torus", 1, [[1, 0]], 2, Trunc([8], 48)),
+        ("mapping_torus", 1, [[1]], 2, Trunc([8], 48)),
+        ("f2", 2, [[1, 0], [1]], 1, Trunc([3, 3], 16)),
+    ])
+    def test_every_report_of_a_sweep(self, request, name, cls, chi, degree, trunc):
+        P = request.getfixturevalue(name)
+        q = nilpotent_quotient(P, cls)
+        verdict = theorem_f(P, q, MultiChar(q.target, chi), degree, trunc)
+        assert len(verdict.reports) == 2 ** q.target.nlevels
+        assert all(r.alternating_sum() is not None for r in verdict.reports)
+        cx = fox_complex(P, q, QQ, project=False)
+        assert euler_check(cx, verdict.reports)
+
     def test_novikov_reports(self, torus, f2):
         q = nilpotent_quotient(torus, 1)
         cx = fox_complex(torus, q, QQ, project=False)
@@ -145,6 +167,6 @@ class TestEuler:
     def test_inconsistent_report_detected(self, torus):
         cx = fox_complex(torus, None, QQ)
         report = betti(cx, QQ)
-        report.betti = [1, 2, 2]  # corrupt it
+        report.h[2] = 2  # corrupt it: betti numbers 1 2 2
         with pytest.raises(InconsistentReport):
             euler_check(cx, [report])

@@ -59,15 +59,6 @@ class TestNovMul:
         with pytest.raises(MismatchedCharacter, match="frontier has 1 entries"):
             NovContext(chi, Trunc([3], 12))
 
-    def test_nonneg_flag(self, zgroup):
-        R = GroupRing(zgroup, QQ)
-        ctx = NovContext(MultiChar(zgroup, [[1]]), Trunc([5], 10))
-        pos = series_from_elt(ctx, R.parse("1 + t"))
-        neg = series_from_elt(ctx, R.parse("t^-1"))
-        assert pos.nonneg and not neg.nonneg
-        assert not nov_mul(pos, neg).nonneg
-        assert nov_mul(pos, pos).nonneg
-
 
 class TestNovInvert:
     def test_geometric_series(self, zgroup):
