@@ -323,12 +323,16 @@ def parse_mchar(text, group):
         if lvl in seen:
             raise ParseError(f"duplicate char line for level {lvl}", ln)
         seen.add(lvl)
+        assigned = set()
         for assign in body.split():
             name, _, val = assign.partition("=")
             if not val:
                 raise ParseError(f"expected <gen>=<rational>, got {assign!r}", ln)
             if name not in group.index:
                 raise UnknownGenerator(f"unknown generator {name!r}", ln)
+            if name in assigned:
+                raise ParseError(f"generator {name!r} assigned twice", ln)
+            assigned.add(name)
             gi = group.index[name]
             if group.levels[gi] != lvl:
                 raise ParseError(f"generator {name} is not at level {lvl}", ln)

@@ -8,7 +8,10 @@ frontier for stability.  A nonvanishing witness is only reported when the
 elimination fully diagonalized: the leftover coordinate then carries an
 explicit cocycle that certifiably cannot be a coboundary below the
 frontier.  A stalled elimination is reported as inconclusive together with
-the offending column, never as a verdict.
+the offending column, never as a verdict.  A clearing step whose
+certificate fails stalls the same way: its pattern is inconclusive, with
+the failed step, the entry and the lex-minimal degree of the residual
+inside the frontier as the obstruction.
 """
 
 import itertools
@@ -99,50 +102,23 @@ def pattern_label(signs):
 
 # -- Novikov elimination ---------------------------------------------------
 
-def _entry_status(ctx, elt, inv_ctx):
-    """('zero', None) | ('pivot', (minimal degree, inverse body)) |
-    ('stuck', reason) | ('trunc', None)
-
-    Matrix entries are exact ring elements; an entry all of whose terms sit
-    at or beyond the frontier counts as zero at truncation.  Inverses are
-    computed at the widened `inv_ctx` so that clearing entries with
-    negative-degree terms still certifies at the reporting frontier.
-    """
-    if beyond_frontier(ctx, elt):
-        return ("zero", None)
-    try:
-        _, _, deg = minimal_term(ctx, elt)
-    except NoStrictMinimum as e:
-        return ("stuck", str(e))
-    try:
-        inv = nov_invert(NovSeries(inv_ctx, elt))
-        return ("pivot", (deg, inv.body))
-    except TruncationInsufficient:
-        return ("trunc", None)
-
-
 class _Elimination:
     """Smith-style sweep over the 3-term complex at one truncation.
 
     All matrix arithmetic is exact on finite bodies (only the pivot
     inverses are truncated series); every clearing step is certified
     against the frontier, so a completed sweep is a truncation-sound
-    diagonalization.
+    diagonalization.  M1 is d1 as an r1 x 1 matrix, so both stages share
+    one pivot chooser, one clearing step and one P1 base change.  A
+    missing pivot or a failed certificate ends the stage with a stall.
     """
 
     def __init__(self, cx, chi, trunc):
+        if cx.qmap is None or chi.group is not cx.qmap.target:
+            raise MismatchedGroup("the multicharacter must live on the complex's quotient group")
         self.cx = cx
-        project = None
-        if not cx.projected:
-            if cx.qmap is None:
-                raise MismatchedGroup("free-entry complex needs a quotient map for degrees")
-            if chi.group is not cx.qmap.target:
-                raise MismatchedGroup("multicharacter lives on the wrong group")
-            project = cx.qmap.apply_word
-        elif chi.group is not cx.ring.group:
-            raise MismatchedGroup("multicharacter lives on the wrong group")
-        self.ctx = NovContext(chi, trunc, project)
-        self.M1 = list(cx.d1)
+        self.ctx = NovContext(chi, trunc, None if cx.projected else cx.qmap.apply_word)
+        self.M1 = [[e] for e in cx.d1]
         self.M2 = [list(row) for row in cx.d2]
         r1 = cx.ranks[1]
         one, zero = cx.ring.one(), cx.ring.zero()
@@ -154,141 +130,150 @@ class _Elimination:
         self.used_rows = set()
         self.stall1 = None
         self.stall2 = None
+        self.certified = True       # False once a clearing certificate failed
 
     def _inv_ctx(self):
         """Context for pivot inversion, widened by the negative degree depth
         present in the current matrices: multiplying a cleared residual by
         such an entry may lower degrees by that much, and the result must
         still certify at the reporting frontier."""
-        entries = self.M1 + [e for row in self.M2 for e in row]
-        degs = [self.ctx.deg(g) for elt in entries for g in elt.terms]
+        degs = [self.ctx.deg(g) for M in (self.M1, self.M2)
+                for row in M for elt in row for g in elt.terms]
         trunc = self.ctx.trunc
         depth = [-min((d[i] for d in degs), default=0) for i in range(len(trunc.frontier))]
         return self.ctx.with_trunc(trunc.widened(depth))
 
+    def _choose_pivot(self, cells):
+        """The least (minimal degree, column, row) entry among `cells`
+        (triples column, row, entry) whose inverse certifies, as
+        (column, row, inverse body) or None; and the first stall reason of
+        each column.  Entries beyond the frontier count as zero."""
+        inv_ctx = self._inv_ctx()
+        key, pivot, stuck = None, None, {}
+        for c, r, e in cells:
+            if beyond_frontier(self.ctx, e):
+                continue
+            try:
+                _, _, deg = minimal_term(self.ctx, e)
+                inv = nov_invert(NovSeries(inv_ctx, e))
+            except NoStrictMinimum as err:
+                stuck.setdefault(c, str(err))
+                continue
+            except TruncationInsufficient:
+                stuck.setdefault(c, "certificate exhausted m_max")
+                continue
+            if pivot is None or (deg, c, r) < key:
+                key, pivot = (deg, c, r), (c, r, inv.body)
+        return pivot, stuck
+
+    def _certify(self, step, r, c, residual):
+        """None when the residual is beyond the frontier; otherwise the stall,
+        naming the step, the entry and the residual's lex-minimal degree
+        inside the frontier."""
+        inside = [d for d in map(self.ctx.deg, residual.terms) if self.ctx.trunc.retains(d)]
+        if not inside:
+            return None
+        deg = ",".join(str(x) for x in min(inside))
+        return (f"{step} failed its certificate at row {r}, column {c}: "
+                f"residual degree ({deg}) inside the frontier")
+
+    def _unused_rows(self):
+        return [r for r in range(len(self.M2)) if r not in self.used_rows]
+
+    def _p1(self, dst, src, x):
+        """P1 base change: column dst += column src * x, on the unused rows
+        of M2 and on A."""
+        for row in [self.M2[r] for r in self._unused_rows()] + self.A:
+            row[dst] = row[dst] + ring_mul(row[src], x)
+
+    def _clear_column(self, step, M, rows, r0, c0, pinv, cols, p1):
+        """Clear column c0 of M on `rows` off the pivot (r0, c0) by the row
+        operations row_r -= (M[r][c0] pinv) row_r0 on `cols`; with `p1`,
+        each is mirrored by its inverse on the P1 basis.  None, or the
+        first stall."""
+        for r in rows:
+            row = M[r]
+            if r == r0 or beyond_frontier(self.ctx, row[c0]):
+                continue
+            f = ring_mul(row[c0], pinv)
+            for j in cols:
+                row[j] = row[j] - ring_mul(f, M[r0][j])
+            if p1:
+                self._p1(r0, r, f)
+            stall = self._certify(step, r, c0, row[c0])
+            if stall:
+                return stall
+        return None
+
     # -- stage 1: the column M1
 
     def eliminate_d1(self):
-        inv_ctx = self._inv_ctx()
-        candidates = []
-        for i, e in enumerate(self.M1):
-            status, data = _entry_status(self.ctx, e, inv_ctx)
-            if status == "pivot":
-                deg, inv = data
-                candidates.append((deg, i, inv))
-        if not candidates:
-            if all(beyond_frontier(self.ctx, e) for e in self.M1):
-                self.rank1 = 0
-                return True  # certified zero map
-            self.stall1 = "no invertible entry in d1"
+        pivot, stuck = self._choose_pivot((0, i, row[0]) for i, row in enumerate(self.M1))
+        if pivot is None:
+            if stuck:
+                self.stall1 = "no invertible entry in d1"
+            return not stuck  # without a stall, d1 is certified zero
+        _, i0, pinv = pivot
+        self.stall1 = (self._clear_column("clearing", self.M1, range(len(self.M1)),
+                                          i0, 0, pinv, [0], True)
+                       or self._check_consumed_column(i0, pinv))
+        if self.stall1:
+            self.certified = False
             return False
-        candidates.sort(key=lambda t: (t[0], t[1]))
-        _, i0, pinv = candidates[0]
-        p = self.M1[i0]
-        for i in range(len(self.M1)):
-            if i == i0:
-                continue
-            e = self.M1[i]
-            if beyond_frontier(self.ctx, e):
-                continue
-            c = ring_mul(e, pinv)
-            # row op on M1: row_i -= c * row_i0   (A^-1 acting on the left)
-            self.M1[i] = e - ring_mul(c, p)
-            if not beyond_frontier(self.ctx, self.M1[i]):
-                raise TruncationInsufficient("d1 clearing left sub-frontier residue")
-            # inverse op on A:  A <- A * (I + E_{i,i0} c)
-            for r in range(len(self.A)):
-                self.A[r][i0] = self.A[r][i0] + ring_mul(self.A[r][i], c)
-            # and on M2: col i0 += col i * c
-            for row in self.M2:
-                row[i0] = row[i0] + ring_mul(row[i], c)
         self.rank1 = 1
         self.consumed_cols.add(i0)
-        # The consumed column of M2 is zero in the presented group's ring:
-        # row_j . d1 equals cx.composite(j) exactly (free words cannot
-        # cancel r_j - 1), the other d1 entries are certified zero, so the
-        # column entry must agree with composite(j) * p^-1 below the
-        # frontier.  Verify, then zero it.
+        return True
+
+    def _check_consumed_column(self, i0, pinv):
+        """The consumed column of M2 is zero in the presented group's ring:
+        row_j . d1 equals cx.composite(j) exactly (free words cannot cancel
+        r_j - 1), the other d1 entries are certified zero, so the column
+        entry must agree with composite(j) * p^-1 below the frontier.
+        Verify, then zero it."""
         zero = self.cx.ring.zero()
         for j, row in enumerate(self.M2):
-            expected = ring_mul(self.cx.composite(j), pinv)
-            if not beyond_frontier(self.ctx, row[i0] - expected):
-                raise TruncationInsufficient(
-                    f"column {i0} of d2 did not clear after the d1 stage")
+            stall = self._certify("column check", j, i0,
+                                  row[i0] - ring_mul(self.cx.composite(j), pinv))
+            if stall:
+                return stall
             row[i0] = zero
-        return True
+        return None
 
     # -- stage 2: the block M2 on active columns
 
     def eliminate_d2(self):
-        nrows = len(self.M2)
-        ncols = self.cx.ranks[1]
         while True:
-            inv_ctx = self._inv_ctx()
-            candidates = []
-            stuck_cols = {}
-            for c in range(ncols):
-                if c in self.consumed_cols:
-                    continue
-                for r in range(nrows):
-                    if r in self.used_rows:
-                        continue
-                    e = self.M2[r][c]
-                    status, data = _entry_status(self.ctx, e, inv_ctx)
-                    if status == "pivot":
-                        deg, inv = data
-                        candidates.append((deg, c, r, inv))
-                    elif status == "stuck":
-                        stuck_cols.setdefault(c, data)
-                    elif status == "trunc":
-                        stuck_cols.setdefault(c, "certificate exhausted m_max")
-            if not candidates:
-                if stuck_cols:
-                    col = min(stuck_cols)
-                    self.stall2 = f"column {col}: {stuck_cols[col]}"
-                    return False
-                return True  # residual block certified zero
-            candidates.sort(key=lambda t: (t[0], t[1], t[2]))
-            _, c0, r0, pinv = candidates[0]
-            self._pivot_step(r0, c0, pinv)
+            rows = self._unused_rows()
+            cols = [c for c in range(self.cx.ranks[1]) if c not in self.consumed_cols]
+            pivot, stuck = self._choose_pivot((c, r, self.M2[r][c]) for c in cols for r in rows)
+            if pivot is None:
+                if stuck:
+                    col = min(stuck)
+                    self.stall2 = f"column {col}: {stuck[col]}"
+                return not stuck  # without a stall, the residual block is certified zero
+            c0, r0, pinv = pivot
+            self.stall2 = (self._clear_column("column clearing", self.M2, rows,
+                                              r0, c0, pinv, cols, False)
+                           or self._clear_row(r0, c0, pinv, cols))
+            if self.stall2:
+                self.certified = False
+                return False
+            self.used_rows.add(r0)
+            self.consumed_cols.add(c0)
+            self.rank2 += 1
 
-    def _pivot_step(self, r0, c0, pinv):
-        nrows = len(self.M2)
-        ncols = self.cx.ranks[1]
-        # clear the column with row ops (P2 base change, nothing adjacent)
-        for r in range(nrows):
-            if r == r0 or r in self.used_rows:
+    def _clear_row(self, r0, c0, pinv, cols):
+        """Clear row r0 of M2 off the pivot by P1 base changes (the M1 rows
+        there are zero).  None, or the first stall."""
+        row = self.M2[r0]
+        for j in cols:
+            if j == c0 or beyond_frontier(self.ctx, row[j]):
                 continue
-            e = self.M2[r][c0]
-            if beyond_frontier(self.ctx, e):
-                continue
-            f = ring_mul(e, pinv)
-            for j in range(ncols):
-                if j in self.consumed_cols:
-                    continue
-                self.M2[r][j] = self.M2[r][j] - ring_mul(f, self.M2[r0][j])
-            if not beyond_frontier(self.ctx, self.M2[r][c0]):
-                raise TruncationInsufficient("d2 column clearing failed its certificate")
-        # clear the row with column ops (P1 base change; M1 rows there are zero)
-        for j in range(ncols):
-            if j == c0 or j in self.consumed_cols:
-                continue
-            e = self.M2[r0][j]
-            if beyond_frontier(self.ctx, e):
-                continue
-            f = ring_mul(pinv, e)
-            col_c0 = [self.M2[r][c0] for r in range(nrows)]
-            for r in range(nrows):
-                if r in self.used_rows:
-                    continue
-                self.M2[r][j] = self.M2[r][j] - ring_mul(col_c0[r], f)
-            for r in range(len(self.A)):
-                self.A[r][j] = self.A[r][j] - ring_mul(self.A[r][c0], f)
-            if not beyond_frontier(self.ctx, self.M2[r0][j]):
-                raise TruncationInsufficient("d2 row clearing failed its certificate")
-        self.used_rows.add(r0)
-        self.consumed_cols.add(c0)
-        self.rank2 += 1
+            self._p1(j, c0, -ring_mul(pinv, row[j]))
+            stall = self._certify("row clearing", r0, j, row[j])
+            if stall:
+                return stall
+        return None
 
     def witness_cocycle(self, column):
         """The degree-1 witness: original coordinates of the final basis covector."""
@@ -296,10 +281,13 @@ class _Elimination:
 
 
 def _run_elimination(cx, chi, trunc):
-    """One elimination at one truncation, and the report it certifies."""
+    """One elimination at one truncation, and the report it certifies.
+
+    A failed d1 certificate leaves M2 half transformed, so d2 does not run
+    and every degree is inconclusive with the d1 obstruction."""
     elim = _Elimination(cx, chi, trunc)
     ok1 = elim.eliminate_d1()
-    ok2 = elim.eliminate_d2()
+    ok2 = elim.certified and elim.eliminate_d2()
     r0, r1, r2 = cx.ranks
     report = RankReport({0: r0 - elim.rank1 if ok1 else None,
                          1: r1 - elim.rank1 - elim.rank2 if ok1 and ok2 else None,
@@ -308,10 +296,10 @@ def _run_elimination(cx, chi, trunc):
     for d, hd in report.h.items():
         if hd is None:
             report.verdicts[d] = INCONCLUSIVE
-            if d in (0, 1) and elim.stall1:
-                report.obstructions[d] = f"d1: {elim.stall1}"
-            if elim.stall2 and (d in (1, 2)):
+            if elim.stall2 and d in (1, 2):
                 report.obstructions[d] = f"d2: {elim.stall2}"
+            elif elim.stall1:
+                report.obstructions[d] = f"d1: {elim.stall1}"
         elif hd == 0:
             report.verdicts[d] = VANISHES
         else:

@@ -56,6 +56,9 @@ def parse_presentation(text):
                 raise ParseError("gens line lists no generators", ln)
             gens = parts[1:]
             index = {g: i for i, g in enumerate(gens)}
+            if len(index) < len(gens):
+                dup = next(g for i, g in enumerate(gens) if index[g] != i)
+                raise ParseError(f"generator {dup!r} listed twice", ln)
         elif parts[0] == "rel":
             if gens is None:
                 raise ParseError("rel before gens", ln)
@@ -243,13 +246,13 @@ def quotient_by_normal(F, N):
     for lvl in range(F.nlevels):
         k = len(F.level_gens[lvl])
         rows = N.level_lattice(lvl)
-        rank = intlinalg.lattice_rank(rows, k) if rows else 0
-        if rows:
-            sat = intlinalg.saturate_rows(rows, k)
-            if intlinalg.lattice_rank(sat, k) != rank or not _same_lattice(rows, sat, k):
-                raise ClassUnsupported(
-                    "quotient requires a non-induced central series (unsaturated level lattice)")
         D, _U, V = intlinalg.smith_normal_form(rows, len(rows), k) if rows else ([], [], intlinalg.identity(k))
+        factors = [D[i][i] for i in range(min(len(rows), k)) if D[i][i]]
+        # the lattice is saturated iff every nonzero invariant factor is 1
+        if any(d != 1 for d in factors):
+            raise ClassUnsupported(
+                "quotient requires a non-induced central series (unsaturated level lattice)")
+        rank = len(factors)
         Vinv = intlinalg.invert_unimodular(V)
         level_data.append({"k": k, "rank": rank, "V": V, "Vinv": Vinv})
 
@@ -337,7 +340,3 @@ def quotient_by_normal(F, N):
 
     return Q, project_collect
 
-
-def _same_lattice(rows_a, rows_b, n):
-    return all(intlinalg.member_of_lattice(rows_b, r) for r in rows_a) and \
-        all(intlinalg.member_of_lattice(rows_a, r) for r in rows_b)

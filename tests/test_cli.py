@@ -138,6 +138,8 @@ H3 = ["--group", str(DATA / "heis.pcg"), "--char", str(DATA / "chi_h3.mchar")]
 BS12 = ["nov-h", str(DATA / "bs12.fpg"), "--char", str(DATA / "chi_z.mchar")]
 BAD_MCHAR = pathlib.Path(__file__).parent / "data" / "chi_z_zero_denominator.mchar"
 ZERO_MCHAR = pathlib.Path(__file__).parent / "data" / "chi_z_zero.mchar"
+TWICE_MCHAR = pathlib.Path(__file__).parent / "data" / "chi_z_twice.mchar"
+DUP_GENS = pathlib.Path(__file__).parent / "data" / "dup_gens.fpg"
 
 
 @pytest.mark.parametrize("env_mmax,argv,message", [
@@ -165,12 +167,15 @@ ZERO_MCHAR = pathlib.Path(__file__).parent / "data" / "chi_z_zero.mchar"
     (None, ["fit-char", "--rank", "2", "0,1,2"], "chain entry of wrong rank"),
     (None, ["fit-char", "--rank", "-1", ""], "lattice rank must be at least 1, got -1"),
     (None, [*BS12, "--sign", "x"], "bad sign pattern 'x' (expected one + or - per level, 1 in all)"),
+    (None, ["betti", str(DUP_GENS)], "line 2: generator 'a' listed twice"),
+    (None, ["nov-invert", "--group", str(DATA / "z.pcg"), "--char", str(TWICE_MCHAR), "1 - t"],
+     "line 1: generator 't' assigned twice"),
 ], ids=["env-mmax", "field", "frontier", "frontier-zero-denominator", "mmax",
         "mchar-zero-denominator", "literal-zero-denominator", "literal-outside-field",
         "literal-doubled-operator", "fit-char-lattice-point", "expand-invert-zero",
         "expand-invert-zero-sum", "nov-h-degree-above", "nov-h-degree-below",
         "nov-h-zero-multicharacter", "fit-char-wrong-rank", "fit-char-rank-below-1",
-        "nov-h-sign-character"])
+        "nov-h-sign-character", "fpg-duplicate-generator", "mchar-generator-assigned-twice"])
 def test_bad_input_is_an_error(capsys, monkeypatch, env_mmax, argv, message):
     if env_mmax is not None:
         monkeypatch.setenv("NILNOV_MMAX", env_mmax)

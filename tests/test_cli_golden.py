@@ -1,8 +1,9 @@
 """Golden transcript of the command line: every README command, byte for byte.
 
 Each command runs in-process through `main()`; its standard output and exit
-code are compared with tests/data/cli_golden.txt.  After a deliberate change
-of the output, regenerate the file with
+code are compared with tests/data/cli_golden.txt.  Every command line of the
+README's sh blocks must be one of them.  After a deliberate change of the
+output, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/data/cli_golden.txt
 """
@@ -10,6 +11,7 @@ of the output, regenerate the file with
 import contextlib
 import io
 import pathlib
+import re
 import shlex
 
 from nilnov.cli import main
@@ -36,6 +38,8 @@ COMMANDS = [
     "nq demos/data/mapping_torus.fpg",
     "betti demos/data/bs12.fpg --field F2",
     "nov-h demos/data/bs12.fpg --char demos/data/chi_z.mchar --degree 1 --frontier 6 --sweep",
+    "nov-h demos/data/parafree.fpg --char demos/data/chi_parafree_c2.mchar"
+    " --quotient c2 --frontier 2 --sweep",
     "nov-h demos/data/torus.fpg --char demos/data/chi_torus.mchar --quotient self"
     " --degree 2 --frontier 6 --entries projected --sweep",
     "theorem-f demos/data/torus.fpg --quotient self --char demos/data/chi_torus.mchar -d 2",
@@ -58,6 +62,25 @@ def transcript():
 
 def test_cli_transcript_is_byte_identical():
     assert transcript() == GOLDEN.read_text(encoding="utf-8")
+
+
+def readme_commands():
+    """Argument lists of the `nilnov` lines in the README's sh blocks,
+    with backslash continuations joined and comments dropped."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("nilnov "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_every_readme_command_is_in_the_transcript():
+    commands = readme_commands()
+    golden = [shlex.split(command) for command in COMMANDS]
+    assert commands
+    assert [c for c in commands if c not in golden] == []
 
 
 if __name__ == "__main__":

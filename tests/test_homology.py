@@ -1,13 +1,19 @@
+import pathlib
+
 import pytest
 
 from nilnov import (GF, MultiChar, QQ, QuotientMap, Trunc, betti, euler_check,
                     fox_complex, nilpotent_quotient, nov_cohomology,
                     parse_presentation, theorem_f)
+from nilnov.charorder import parse_mchar
 from nilnov.errors import (DimensionMismatch, InconsistentReport,
-                           MismatchedCharacter)
+                           MismatchedCharacter, MismatchedGroup)
 from nilnov.homology import (CD_DROP, INCONCLUSIVE, OBSTRUCTION, VANISHES,
-                             WITNESS)
+                             WITNESS, _Elimination, _run_elimination,
+                             sign_patterns)
 from nilnov.presentations import free_abelian_group
+
+DATA = pathlib.Path(__file__).parents[1] / "demos" / "data"
 
 
 def both_fields():
@@ -82,6 +88,15 @@ class TestNovCohomology:
         with pytest.raises(DimensionMismatch):
             nov_cohomology(cx, MultiChar(q.target, [[1, 0]]), degree, Trunc([8], 32))
 
+    @pytest.mark.parametrize("qmap,project", [(True, False), (True, True), (False, False)],
+                             ids=["free", "projected", "no-quotient-map"])
+    def test_multicharacter_off_the_quotient_rejected(self, torus, qmap, project):
+        q = nilpotent_quotient(torus, 1)
+        cx = fox_complex(torus, q if qmap else None, QQ, project=project)
+        other = free_abelian_group(["u", "v"])
+        with pytest.raises(MismatchedGroup):
+            nov_cohomology(cx, MultiChar(other, [[1, 0]]), 2, Trunc([8], 32))
+
     def test_pivot_certificates_reassertable(self, torus):
         # every vanishing verdict is reproduced at the doubled frontier
         q = nilpotent_quotient(torus, 1)
@@ -90,6 +105,40 @@ class TestNovCohomology:
         r1 = nov_cohomology(cx, chi, 2, Trunc([8], 48))
         r2 = nov_cohomology(cx, chi, 2, Trunc([16], 96), stability=False)
         assert r1.verdicts == r2.verdicts
+
+    def test_parafree_class2_sweep_reports_every_pattern(self):
+        # Baumslag's parafree group <a, b, c | a = [c,a][c,b]> over its
+        # class-2 quotient: pattern -- fails a d2 clearing certificate,
+        # which makes that pattern inconclusive and leaves the others alone
+        P = parse_presentation((DATA / "parafree.fpg").read_text())
+        q = nilpotent_quotient(P, 2)
+        chi = parse_mchar((DATA / "chi_parafree_c2.mchar").read_text(), q.target)
+        cx = fox_complex(P, q, QQ, project=False)
+        reports = [nov_cohomology(cx, chi, 2, Trunc([2, 2], 64), signs=signs)
+                   for signs in sign_patterns(2)]
+        verdicts = {r.pattern: r.verdicts[2] for r in reports}
+        assert verdicts == {"++": VANISHES, "+-": INCONCLUSIVE,
+                            "-+": INCONCLUSIVE, "--": INCONCLUSIVE}
+        assert "row clearing failed its certificate" in reports[3].obstructions[2]
+        assert reports[0].alternating_sum() is not None
+        assert euler_check(cx, reports)
+
+    def test_failed_d1_certificate_skips_d2(self, torus, monkeypatch):
+        certify = _Elimination._certify
+
+        def fail_d1_clearing(self, step, r, c, residual):
+            if step == "clearing":
+                return f"clearing failed its certificate at row {r}, column {c}"
+            return certify(self, step, r, c, residual)
+
+        monkeypatch.setattr(_Elimination, "_certify", fail_d1_clearing)
+        q = nilpotent_quotient(torus, 1)
+        cx = fox_complex(torus, q, QQ, project=False)
+        elim, report = _run_elimination(cx, MultiChar(q.target, [[1, 0]]), Trunc([8], 48))
+        assert elim.rank2 == 0 and elim.stall2 is None
+        stall = "d1: clearing failed its certificate at row 1, column 0"
+        assert report.verdicts == {0: INCONCLUSIVE, 1: INCONCLUSIVE, 2: INCONCLUSIVE}
+        assert report.obstructions == {0: stall, 1: stall, 2: stall}
 
 
 class TestTheoremF:
