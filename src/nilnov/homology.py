@@ -3,15 +3,58 @@
 Field Betti numbers come from exact Gaussian elimination on the augmented
 matrices.  Novikov verdicts come from a Smith-style elimination in which a
 pivot must have a unique lexicographically minimal term and a certified
-inverse; every verdict is "at truncation" and is re-run at a doubled
-frontier for stability.  A nonvanishing witness is only reported when the
-elimination fully diagonalized: the leftover coordinate then carries an
-explicit cocycle that certifiably cannot be a coboundary below the
-frontier.  A stalled elimination is reported as inconclusive together with
-the offending column, never as a verdict.  A clearing step whose
-certificate fails stalls the same way: its pattern is inconclusive, with
-the failed step, the entry and the lex-minimal degree of the residual
-inside the frontier as the obstruction.
+inverse.  A nonvanishing witness is only reported when the elimination
+fully diagonalized: the leftover coordinate then carries an explicit
+cocycle that certifiably cannot be a coboundary below the frontier.  A
+stalled elimination is reported as inconclusive together with the
+offending column, never as a verdict.  A clearing step whose certificate
+fails stalls the same way: its pattern is inconclusive, with the failed
+step, the entry and the lex-minimal degree of the residual inside the
+frontier as the obstruction.
+
+Exact vanishing for one-level characters.  With one level the degree is a
+real valuation v on the group ring: v(xy) >= v(x) + v(y), and an element
+whose minimal degree is attained by one term c g alone is a Novikov unit,
+(c g (1 - y))^-1 = (1 + y + y^2 + ...) g^-1 c^-1 with v(y) > 0.  The
+elimination records its d2-stage row operations in L and all of its P1
+base changes in A.  Their multipliers are finite ring elements (entries
+times truncated pivot inverses), so every operation is exact and
+invertible over the group ring, and T = L d2 A is d2 in other bases.
+`pivot_block_is_unit` recomputes T from cx.d2 (not from M2, whose used
+rows skip later P1 updates) and checks, for each d2 pivot (r_k, c_k), that
+T[r_k][c_k] has a unique minimal-degree term, of degree v_k, and that every
+other entry T[r_k][c_j] on a pivot column has all of its terms of degree
+> v_k.  The pivot block is then B = U (I + N), with U the diagonal of
+units T[r_k][c_k] and every entry of N = U^-1 (B - U) of valuation at
+least some eps > 0, so B is invertible by the convergent series
+sum (-N)^m (the standard unit argument; see Kielak, "The Bieri-Neumann-
+Strebel invariants via Newton polytopes", Invent. Math. 219, 2020).
+Hence, when the elimination completed without a stall or a
+failed certificate, each vanishing verdict holds over the Novikov ring:
+
+- H^0 = 0 when d1 has a pivot: that entry g - 1 is a unit.
+- H^2 = 0 when rank2 = r2: every row is a pivot row.
+- H^1 = 0 when r1 - rank1 - rank2 = 0.  Clearing d1 with the
+  exact inverse of its pivot p, instead of the truncated one, changes only
+  column i0 of A, which the d2 stage neither reads nor writes and the
+  certificate never uses.  Over the Novikov ring d1 becomes p e_i0 and,
+  since d2 d1 = 0 in the presented group's ring, column i0 of the exact
+  L d2 A vanishes.  Then the pivot columns are all the other columns
+  (all columns when d1 has no pivot), B is invertible on them and p is a
+  unit on i0, so P2 -> P1 -> P0 is exact at P1.
+
+The truncated pivot inverses, and the frontier widening of `_inv_ctx`
+that decides how far they are expanded, do not enter this argument: they
+only choose the multipliers of exact row and column operations, and the
+certificate reads T itself.  On free words the check is sound too: the
+degrees of a free-group-ring element's words bound the degrees of its
+image in the presented group's ring from below, and a unique minimal free
+word stays a unique minimal term there.  `nov_cohomology` marks a report
+whose verdict at its degree vanishes under this check `exact`, and makes
+no re-run for it.  With two or more levels the box frontier is not a
+valuation bound (a term beyond the box can be lex-smaller than a pivot),
+so those verdicts, like every witness and every stall, stay "at
+truncation" and are re-run at a doubled frontier for `stable`.
 """
 
 import itertools
@@ -20,8 +63,8 @@ from .errors import (DimensionMismatch, InconsistentReport, MismatchedCharacter,
                      MismatchedGroup, NoStrictMinimum, TruncationInsufficient)
 from .fields import QQ, rank
 from .groupring import augment, ring_mul
-from .novikov import (NovContext, NovSeries, beyond_frontier, minimal_term,
-                      nov_invert)
+from .novikov import (NovContext, NovSeries, beyond_frontier, format_degree,
+                      minimal_term, nov_invert)
 from .presentations import fox_complex
 
 VANISHES = "vanishes-at-truncation"
@@ -40,6 +83,7 @@ class RankReport:
         self.frontier = None
         self.frontier2 = None
         self.stable = None
+        self.exact = False          # vanishing at `degree` proved over the Novikov ring
         self.witnesses = {}         # degree -> formatted witness cocycle
         self.obstructions = {}      # degree -> description of the stall
 
@@ -108,9 +152,10 @@ class _Elimination:
     All matrix arithmetic is exact on finite bodies (only the pivot
     inverses are truncated series); every clearing step is certified
     against the frontier, so a completed sweep is a truncation-sound
-    diagonalization.  M1 is d1 as an r1 x 1 matrix, so both stages share
-    one pivot chooser, one clearing step and one P1 base change.  A
-    missing pivot or a failed certificate ends the stage with a stall.
+    diagonalization, and L and A record it exactly.  M1 is d1 as an
+    r1 x 1 matrix, so both stages share one pivot chooser, one clearing
+    step and one P1 base change.  A missing pivot or a failed certificate
+    ends the stage with a stall.
     """
 
     def __init__(self, cx, chi, trunc):
@@ -120,14 +165,15 @@ class _Elimination:
         self.ctx = NovContext(chi, trunc, None if cx.projected else cx.qmap.apply_word)
         self.M1 = [[e] for e in cx.d1]
         self.M2 = [list(row) for row in cx.d2]
-        r1 = cx.ranks[1]
+        r1, r2 = cx.ranks[1], cx.ranks[2]
         one, zero = cx.ring.one(), cx.ring.zero()
         # accumulated P1 base change A (original = A * final coordinates)
         self.A = [[one if i == j else zero for j in range(r1)] for i in range(r1)]
+        # accumulated d2-stage row operations L (final rows = L * original rows)
+        self.L = [[one if i == j else zero for j in range(r2)] for i in range(r2)]
         self.rank1 = 0
-        self.rank2 = 0
+        self.pivots2 = []           # d2 pivots (row, column), in elimination order
         self.consumed_cols = set()
-        self.used_rows = set()
         self.stall1 = None
         self.stall2 = None
         self.certified = True       # False once a clearing certificate failed
@@ -173,12 +219,16 @@ class _Elimination:
         inside = [d for d in map(self.ctx.deg, residual.terms) if self.ctx.trunc.retains(d)]
         if not inside:
             return None
-        deg = ",".join(str(x) for x in min(inside))
         return (f"{step} failed its certificate at row {r}, column {c}: "
-                f"residual degree ({deg}) inside the frontier")
+                f"residual degree {format_degree(min(inside))} inside the frontier")
+
+    @property
+    def rank2(self):
+        return len(self.pivots2)
 
     def _unused_rows(self):
-        return [r for r in range(len(self.M2)) if r not in self.used_rows]
+        used = {r for r, _ in self.pivots2}
+        return [r for r in range(len(self.M2)) if r not in used]
 
     def _p1(self, dst, src, x):
         """P1 base change: column dst += column src * x, on the unused rows
@@ -189,8 +239,8 @@ class _Elimination:
     def _clear_column(self, step, M, rows, r0, c0, pinv, cols, p1):
         """Clear column c0 of M on `rows` off the pivot (r0, c0) by the row
         operations row_r -= (M[r][c0] pinv) row_r0 on `cols`; with `p1`,
-        each is mirrored by its inverse on the P1 basis.  None, or the
-        first stall."""
+        each is mirrored by its inverse on the P1 basis, without it each is
+        recorded in L.  None, or the first stall."""
         for r in rows:
             row = M[r]
             if r == r0 or beyond_frontier(self.ctx, row[c0]):
@@ -200,6 +250,8 @@ class _Elimination:
                 row[j] = row[j] - ring_mul(f, M[r0][j])
             if p1:
                 self._p1(r0, r, f)
+            else:
+                self.L[r] = [x - ring_mul(f, y) for x, y in zip(self.L[r], self.L[r0])]
             stall = self._certify(step, r, c0, row[c0])
             if stall:
                 return stall
@@ -258,9 +310,8 @@ class _Elimination:
             if self.stall2:
                 self.certified = False
                 return False
-            self.used_rows.add(r0)
             self.consumed_cols.add(c0)
-            self.rank2 += 1
+            self.pivots2.append((r0, c0))
 
     def _clear_row(self, r0, c0, pinv, cols):
         """Clear row r0 of M2 off the pivot by P1 base changes (the M1 rows
@@ -275,9 +326,41 @@ class _Elimination:
                 return stall
         return None
 
+    def vanishing_is_exact(self):
+        """True when the completed elimination proves its vanishing verdicts
+        over the Novikov ring itself (see the module docstring)."""
+        return (self.ctx.chi.group.nlevels == 1 and self.certified
+                and self.stall1 is None and self.stall2 is None
+                and pivot_block_is_unit(self.ctx, self.L, self.cx.d2, self.A, self.pivots2))
+
     def witness_cocycle(self, column):
         """The degree-1 witness: original coordinates of the final basis covector."""
         return [self.A[r][column] for r in range(len(self.A))]
+
+
+def pivot_block_is_unit(ctx, L, d2, A, pivots):
+    """Whether the pivot block of T = L d2 A, recomputed exactly, is a
+    diagonal of units times I + (positive valuation): each pivot entry
+    T[r_k][c_k] has a unique minimal-degree term, of degree v_k, and every
+    other entry T[r_k][c_j] on a pivot column has all of its terms of
+    degree > v_k."""
+    for r, c in pivots:
+        row = [_dot(L[r], [d2_row[b] for d2_row in d2]) for b in range(len(A))]
+        entries = {cj: _dot(row, [a_row[cj] for a_row in A]) for _, cj in pivots}
+        try:
+            _, _, v = minimal_term(ctx, entries[c])
+        except NoStrictMinimum:
+            return False
+        if any(ctx.deg(g) <= v for cj, t in entries.items() if cj != c for g in t.terms):
+            return False
+    return True
+
+
+def _dot(xs, ys):
+    total = xs[0].ring.zero()
+    for x, y in zip(xs, ys):
+        total = total + ring_mul(x, y)
+    return total
 
 
 def _run_elimination(cx, chi, trunc):
@@ -312,7 +395,7 @@ def _describe_witness(cx, elim, degree):
     if degree == 0:
         return "the augmentation cocycle (d1 is certified zero)"
     if degree == 2:
-        rows = [r for r in range(cx.ranks[2]) if r not in elim.used_rows]
+        rows = elim._unused_rows()
         return f"dual basis cocycle of relator row(s) {rows}"
     cols = [c for c in range(cx.ranks[1]) if c not in elim.consumed_cols]
     parts = []
@@ -323,12 +406,14 @@ def _describe_witness(cx, elim, degree):
     return "; ".join(parts)
 
 
-def nov_cohomology(cx, chi, degree, trunc, signs=None, stability=True):
+def nov_cohomology(cx, chi, degree, trunc, signs=None):
     """Novikov cohomology verdicts of the complex at the given truncation.
 
-    `signs` flips multicharacter components (the +-chi sweep); the verdict
-    at `degree` is re-computed at a doubled frontier and the stability flag
-    records whether it survived.
+    `signs` flips multicharacter components (the +-chi sweep).  A vanishing
+    verdict at `degree` whose elimination passes the exact certificate is
+    marked exact and stable; every other verdict at `degree` is re-computed
+    at a doubled frontier and the stability flag records whether it
+    survived.
     """
     if degree not in (0, 1, 2):
         raise DimensionMismatch(f"degree {degree} outside 0..2")
@@ -336,13 +421,15 @@ def nov_cohomology(cx, chi, degree, trunc, signs=None, stability=True):
         raise MismatchedCharacter("the zero multicharacter is not allowed")
     signs = signs or [1] * chi.group.nlevels
     work_chi = chi.with_signs(signs)
-    _, report = _run_elimination(cx, work_chi, trunc)
+    elim, report = _run_elimination(cx, work_chi, trunc)
     report.pattern = pattern_label(signs)
-    if stability:
-        t2 = trunc.doubled()
-        _, report2 = _run_elimination(cx, work_chi, t2)
-        report.frontier2 = t2.frontier
-        report.stable = report2.verdicts[degree] == report.verdicts[degree]
+    if report.verdicts[degree] == VANISHES and elim.vanishing_is_exact():
+        report.exact = report.stable = True
+        return report
+    t2 = trunc.doubled()
+    _, report2 = _run_elimination(cx, work_chi, t2)
+    report.frontier2 = t2.frontier
+    report.stable = report2.verdicts[degree] == report.verdicts[degree]
     return report
 
 

@@ -138,6 +138,11 @@ def nov_mul(x, y):
     return NovSeries(ctx, truncate_elt(ctx, prod))
 
 
+def format_degree(deg):
+    """A degree tuple as it appears in obstructions, e.g. (-1,0)."""
+    return "(" + ",".join(str(x) for x in deg) + ")"
+
+
 def minimal_term(ctx, elt):
     """(group, coeff, deg) of the unique lex-minimal degree term.
 
@@ -157,7 +162,7 @@ def minimal_term(ctx, elt):
         raise NoStrictMinimum("cannot invert an empty body")
     if count > 1:
         raise NoStrictMinimum(
-            f"minimal degree {tuple(map(str, best[2]))} attained {count} times")
+            f"minimal degree {format_degree(best[2])} attained {count} times")
     return best
 
 

@@ -200,8 +200,9 @@ def test_criterion_07_torus_novikov_vanishing(torus):
         chi = MultiChar(q.target, vals)
         rep = nov_cohomology(cx, chi, 2, Trunc([8], 48))
         assert all(rep.verdicts[d] == VANISHES for d in (0, 1, 2))
-        assert rep.stable and rep.frontier == (8,) and rep.frontier2 == (16,)
-    report(7, "Z^2 Novikov cohomology vanishes in degrees 0-2, stable 8->16", t0, 10.0)
+        assert rep.stable and rep.frontier == (8,)
+        assert rep.exact and rep.frontier2 is None
+    report(7, "Z^2 Novikov cohomology vanishes in degrees 0-2, proved exactly", t0, 10.0)
 
 
 def test_criterion_08_theorem_f_mapping_torus(mapping_torus):

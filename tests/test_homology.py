@@ -2,15 +2,16 @@ import pathlib
 
 import pytest
 
-from nilnov import (GF, MultiChar, QQ, QuotientMap, Trunc, betti, euler_check,
-                    fox_complex, nilpotent_quotient, nov_cohomology,
-                    parse_presentation, theorem_f)
+from nilnov import (GF, GroupRing, MultiChar, QQ, QuotientMap, Trunc, betti,
+                    euler_check, fox_complex, nilpotent_quotient, nov_cohomology,
+                    parse_presentation, ring_mul, theorem_f)
 from nilnov.charorder import parse_mchar
 from nilnov.errors import (DimensionMismatch, InconsistentReport,
                            MismatchedCharacter, MismatchedGroup)
 from nilnov.homology import (CD_DROP, INCONCLUSIVE, OBSTRUCTION, VANISHES,
                              WITNESS, _Elimination, _run_elimination,
-                             sign_patterns)
+                             pivot_block_is_unit, sign_patterns)
+from nilnov.novikov import NovContext
 from nilnov.presentations import free_abelian_group
 
 DATA = pathlib.Path(__file__).parents[1] / "demos" / "data"
@@ -71,9 +72,15 @@ class TestNovCohomology:
         plus = nov_cohomology(cx, chi, 1, Trunc([6], 32), signs=[1])
         minus = nov_cohomology(cx, chi, 1, Trunc([6], 32), signs=[-1])
         assert minus.verdicts[1] == VANISHES and minus.stable
+        assert minus.exact and minus.frontier2 is None
         assert plus.verdicts[1] == INCONCLUSIVE
         assert "column" in plus.obstructions[1]
         assert plus.stable  # inconclusive at both frontiers
+        assert not plus.exact and plus.frontier2 == (12,)
+        # H^0 vanishes on the stalled side too, but a stall rules out the proof
+        plus0 = nov_cohomology(cx, chi, 0, Trunc([6], 32), signs=[1])
+        assert plus0.verdicts[0] == VANISHES and plus0.stable
+        assert not plus0.exact and plus0.frontier2 == (12,)
 
     def test_zero_multicharacter_rejected(self, torus):
         q = nilpotent_quotient(torus, 1)
@@ -103,7 +110,7 @@ class TestNovCohomology:
         cx = fox_complex(torus, q, QQ, project=False)
         chi = MultiChar(q.target, [[1, 1]])
         r1 = nov_cohomology(cx, chi, 2, Trunc([8], 48))
-        r2 = nov_cohomology(cx, chi, 2, Trunc([16], 96), stability=False)
+        _, r2 = _run_elimination(cx, chi, Trunc([16], 96))
         assert r1.verdicts == r2.verdicts
 
     def test_parafree_class2_sweep_reports_every_pattern(self):
@@ -120,6 +127,8 @@ class TestNovCohomology:
         assert verdicts == {"++": VANISHES, "+-": INCONCLUSIVE,
                             "-+": INCONCLUSIVE, "--": INCONCLUSIVE}
         assert "row clearing failed its certificate" in reports[3].obstructions[2]
+        # two levels: no exact certificate, every pattern re-runs at 2F
+        assert all(not r.exact and r.frontier2 == (4, 4) for r in reports)
         assert reports[0].alternating_sum() is not None
         assert euler_check(cx, reports)
 
@@ -139,6 +148,89 @@ class TestNovCohomology:
         stall = "d1: clearing failed its certificate at row 1, column 0"
         assert report.verdicts == {0: INCONCLUSIVE, 1: INCONCLUSIVE, 2: INCONCLUSIVE}
         assert report.obstructions == {0: stall, 1: stall, 2: stall}
+
+
+class TestExactCertificate:
+    @pytest.fixture
+    def laurent(self, zgroup):
+        """Z[t^+-1] over QQ, and a Novikov context for chi(t) = 1."""
+        ring = GroupRing(zgroup, QQ)
+        ctx = NovContext(MultiChar(zgroup, [[1]]), Trunc([8], 32))
+        return ring, ctx
+
+    @staticmethod
+    def _unit_block(ring, ctx, d2):
+        one, zero = ring.one(), ring.zero()
+        identity = [[one, zero], [zero, one]]
+        return pivot_block_is_unit(ctx, identity, d2, identity, [(0, 0), (1, 1)])
+
+    @pytest.mark.parametrize("off,accepted", [
+        ("t^-1", False), ("1", False), ("2 - t^3", False), ("t", True), ("t^2 - 3 t^5", True),
+    ])
+    def test_off_diagonal_degree(self, laurent, off, accepted):
+        # pivot rows: (1 + t, off) with v_0 = 0 and (t^2, t + t^2) with v_1 = 1
+        ring, ctx = laurent
+        d2 = [[ring.parse("1 + t"), ring.parse(off)],
+              [ring.parse("t^2"), ring.parse("t + t^2")]]
+        assert self._unit_block(ring, ctx, d2) == accepted
+
+    def test_zero_pivot_rejected(self, laurent):
+        ring, ctx = laurent
+        d2 = [[ring.parse("1 - t^2"), ring.parse("t")], [ring.parse("t^3"), ring.zero()]]
+        assert not self._unit_block(ring, ctx, d2)
+
+    def test_base_changes_are_applied(self, laurent):
+        # L d2 A = [[1, 0], [0, t - 1]] although d2 = [[1, t], [1, 2 t - 1]]
+        # itself fails at row 1, column 0 (degree 0 against v_1 = 0)
+        ring, ctx = laurent
+        one, zero, t = ring.one(), ring.zero(), ring.parse("t")
+        d2 = [[one, t], [one, ring.parse("2 t - 1")]]
+        identity = [[one, zero], [zero, one]]
+        L = [[one, zero], [-one, one]]
+        A = [[one, -t], [zero, one]]
+        pivots = [(0, 0), (1, 1)]
+        assert pivot_block_is_unit(ctx, L, d2, A, pivots)
+        assert pivot_block_is_unit(ctx, L, d2, identity, pivots)
+        assert not pivot_block_is_unit(ctx, identity, d2, A, pivots)
+        assert not pivot_block_is_unit(ctx, identity, d2, identity, pivots)
+
+    @pytest.mark.parametrize("signs", [[1], [-1]])
+    def test_recorded_operations_reproduce_the_pivots(self, mapping_torus, signs):
+        # L d2 A, multiplied out from the original d2, equals the eliminated
+        # matrix on every pivot entry: the pivot column is never a later P1
+        # target and the pivot row takes no later row operation
+        q = nilpotent_quotient(mapping_torus, 1)
+        cx = fox_complex(mapping_torus, q, QQ, project=False)
+        chi = MultiChar(q.target, [[1]]).with_signs(signs)
+        elim, _ = _run_elimination(cx, chi, Trunc([6], 48))
+
+        def matmul(X, Y):
+            return [[sum((ring_mul(row[k], Y[k][j]) for k in range(len(Y))), cx.ring.zero())
+                     for j in range(len(Y[0]))] for row in X]
+
+        T = matmul(matmul(elim.L, cx.d2), elim.A)
+        assert elim.L[1][0] != cx.ring.zero() or elim.L[0][1] != cx.ring.zero()
+        assert elim.rank2 == 2
+        assert all(T[r][c] == elim.M2[r][c] for r, c in elim.pivots2)
+
+    @pytest.mark.parametrize("name,chi,degree,patterns", [
+        ("torus", [[1, 0]], 2, ([1], [-1])),
+        ("torus", [[1, -2]], 2, ([1], [-1])),
+        ("mapping_torus", [[1]], 2, ([1], [-1])),
+        ("bs12", [[1]], 1, ([-1],)),
+    ])
+    def test_exact_implies_stable(self, request, name, chi, degree, patterns):
+        # an exact report needs no re-run, and the re-run agrees with it
+        P = request.getfixturevalue(name)
+        q = nilpotent_quotient(P, 1)
+        cx = fox_complex(P, q, QQ, project=False)
+        mchar = MultiChar(q.target, chi)
+        for f in (4, 5, 6):
+            for signs in patterns:
+                rep = nov_cohomology(cx, mchar, degree, Trunc([f], 32), signs=signs)
+                assert rep.exact and rep.stable and rep.frontier2 is None
+                _, doubled = _run_elimination(cx, mchar.with_signs(signs), Trunc([2 * f], 64))
+                assert doubled.verdicts == rep.verdicts, (name, f, signs)
 
 
 class TestTheoremF:
@@ -163,6 +255,7 @@ class TestTheoremF:
         verdict = theorem_f(f2, q, chi, 1, Trunc([8], 48))
         assert verdict.conclusion == OBSTRUCTION
         assert all(r.verdicts[1] == WITNESS for r in verdict.reports)
+        assert all(not r.exact and r.frontier2 == (16,) for r in verdict.reports)
         assert all(1 in r.witnesses for r in verdict.reports)
 
     def test_sweep_covers_all_patterns(self, f2):
