@@ -80,6 +80,7 @@ class RankReport:
         self.h = h                  # degree -> dimension, None when undetermined
         self.verdicts = {}          # degree -> verdict string (Novikov reports)
         self.pattern = None
+        self.degree = None          # the degree that `stable` and `exact` speak of
         self.frontier = None
         self.frontier2 = None
         self.stable = None
@@ -105,8 +106,9 @@ class RankReport:
             if d in self.obstructions:
                 extra = f" obstruction={self.obstructions[d]}"
             hd = self.h[d]
+            stable = f", stable={self.stable}" if d == self.degree else ""
             lines.append(f"H^{d} [{self.pattern}]: {self.verdicts[d]}"
-                         f" (h={'?' if hd is None else hd}, stable={self.stable}){extra}")
+                         f" (h={'?' if hd is None else hd}{stable}){extra}")
         return lines
 
 
@@ -423,6 +425,7 @@ def nov_cohomology(cx, chi, degree, trunc, signs=None):
     work_chi = chi.with_signs(signs)
     elim, report = _run_elimination(cx, work_chi, trunc)
     report.pattern = pattern_label(signs)
+    report.degree = degree
     if report.verdicts[degree] == VANISHES and elim.vanishing_is_exact():
         report.exact = report.stable = True
         return report

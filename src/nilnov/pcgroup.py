@@ -19,10 +19,6 @@ Elt = tuple  # ((gen_index, exponent), ...) in normal form
 IDENTITY: Elt = ()
 
 
-def _inv_letters(letters):
-    return [(g, -s) for g, s in reversed(letters)]
-
-
 class PcGroup:
     def __init__(self, name, level_names, conj_tails):
         """level_names: list of lists of generator names, by level.
@@ -41,24 +37,17 @@ class PcGroup:
         self.nlevels = len(level_names)
         self.ngens = len(self.gen_names)
         self._validate_tails(conj_tails)
-        # positive conjugation letters: pos[(y,x)] = letters of x^-1 y x
-        self._pos = {}
-        for (y, x), w in conj_tails.items():
-            self._pos[(y, x)] = [(y, 1)] + self._expand(w)
-        self._neg = self._build_neg_tables()
         self.conj_tails = {k: list(v) for k, v in conj_tails.items()}
-        # central generators (no relation with a nonempty tail touches them)
-        # enable the closed-form syllable conjugation used by collect
+        # a generator in no relation with a nonempty tail is central; a tail
+        # of central generators conjugates in closed form, any other tail
+        # goes through _phi_image
         touched = set()
         for (y, x), w in conj_tails.items():
             if w:
-                touched.add(y)
-                touched.add(x)
-        self._central = set(range(self.ngens)) - touched
-        self._central_tail = {
-            pair: all(g in self._central for g, _ in w)
-            for pair, w in conj_tails.items()
-        }
+                touched.update((y, x))
+        self._noncentral = {pair for pair, w in conj_tails.items()
+                            if any(g in touched for g, _ in w)}
+        self._phi = {}  # (z, m, sign, k) -> phi_m^{sign 2^k}(z), see _phi_image
 
     # -- construction helpers -------------------------------------------
 
@@ -77,67 +66,61 @@ class PcGroup:
                         f"tail generator {self.gen_names[g]} of conj "
                         f"{self.gen_names[y]} {self.gen_names[x]} is not strictly deeper")
 
-    @staticmethod
-    def _expand(word):
-        letters = []
-        for g, e in word:
-            s = 1 if e > 0 else -1
-            letters.extend([(g, s)] * abs(e))
-        return letters
-
-    def _build_neg_tables(self):
-        """neg[(y,x)] = letters of x y x^-1, from deepest y upward."""
-        neg = {}
-
-        def psi(x, letters):
-            out = []
-            for z, t in letters:
-                base = neg.get((z, x))
-                if base is None:
-                    base = [(z, 1)]
-                out.extend(base if t == 1 else _inv_letters(base))
-            return out
-
-        pairs = sorted(self._pos, key=lambda p: (-self.levels[p[0]], -p[0]))
-        for (y, x) in pairs:
-            w_pos = self._pos[(y, x)][1:]
-            neg[(y, x)] = [(y, 1)] + psi(x, _inv_letters(w_pos))
-        return neg
-
     # -- collection ------------------------------------------------------
 
-    def _conj_letter(self, letter, m, s):
-        """letters of m^{-s} * letter * m^{s}; letter's gen is > m."""
-        z, t = letter
-        table = self._pos if s == 1 else self._neg
-        base = table.get((z, m))
-        if base is None:
-            return [letter]
-        return list(base) if t == 1 else _inv_letters(base)
-
     def _conj_syllable(self, z, t, m, e):
-        """Syllables of m^{-e} z^t m^{e}.
+        """Syllables of m^{-e} z^t m^{e} = phi_m^e(z)^t, for z after m.
 
-        Central tails give the closed form z^t w^{e t}; otherwise fall back
-        to letter-by-letter conjugation (exponentially slower, but only
-        non-adapted-to-class-2 presentations reach it).
+        phi_m(x) = m^-1 x m is the conjugation automorphism.  A tail w of
+        central generators gives the closed form z^t w^{e t}.  Otherwise
+        phi_m^e(z) composes the memoised images phi_m^{+-2^k} of the set
+        bits of |e|, and its t-th power is taken by binary powering.  Every
+        image uses only generators after m, so the recursion through
+        collect ends.
         """
-        pair = (z, m)
-        if pair not in self._pos or not any(e2 for _, e2 in self.conj_tails[pair]):
-            return [(z, t)]
-        if self._central_tail.get(pair):
-            out = [(z, t)]
-            for g, eg in self.conj_tails[pair]:
-                out.append((g, eg * e * t))
-            return out
-        letters = [(z, 1 if t > 0 else -1)] * abs(t)
-        step = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            nxt = []
-            for letter in letters:
-                nxt.extend(self._conj_letter(letter, m, step))
-            letters = nxt
-        return letters
+        if (z, m) not in self._noncentral:
+            return [(z, t)] + [(g, eg * e * t) for g, eg in self.conj_tails.get((z, m), ())]
+        sign = 1 if e > 0 else -1
+        image = ((z, 1),)
+        bits, k = abs(e), 0
+        while bits:
+            if bits & 1:
+                image = self._apply_phi(image, m, sign, k)
+            bits >>= 1
+            k += 1
+        return self.pow(image, t)
+
+    def _apply_phi(self, word, m, sign, k):
+        """Normal form of phi_m^{sign 2^k}(w) for a word w in generators
+        after m: the product of the t-th powers of its syllables' images."""
+        out = []
+        for z, t in word:
+            if (z, m) in self._noncentral:
+                out.extend(self.pow(self._phi_image(z, m, sign, k), t))
+            else:
+                out.extend(self._conj_syllable(z, t, m, sign << k))
+        return self.collect(out)
+
+    def _phi_image(self, z, m, sign, k):
+        """Normal form of phi_m^{sign 2^k}(z) for a non-central tail.
+
+        phi^{2^k} applies phi^{2^(k-1)} twice, and phi(z) = z w gives
+        phi^-1(z) = z phi^-1(w)^-1.  Only these power-of-two images are
+        memoised, so the cache holds at most ngens^2 * 2 * b entries, where
+        b is the bit length of the largest conjugating exponent seen.
+        """
+        key = (z, m, sign, k)
+        image = self._phi.get(key)
+        if image is None:
+            tail = self.conj_tails[(z, m)]
+            if k:
+                image = self._apply_phi(self._phi_image(z, m, sign, k - 1), m, sign, k - 1)
+            elif sign == 1:
+                image = self.collect([(z, 1)] + tail)
+            else:
+                image = self.collect([(z, 1)] + list(self.inv(self._apply_phi(tail, m, -1, 0))))
+            self._phi[key] = image
+        return image
 
     def collect(self, word):
         """Normal form of a word (iterable of (gen_index, exponent))."""
@@ -175,12 +158,13 @@ class PcGroup:
             return self.pow(self.inv(a), -n)
         result = IDENTITY
         base = a
-        while n:
+        while True:
             if n & 1:
                 result = self.mul(result, base)
-            base = self.mul(base, base)
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = self.mul(base, base)
 
     def comm(self, a, b):
         """[a, b] = a^-1 b^-1 a b."""

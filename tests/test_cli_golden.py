@@ -10,9 +10,12 @@ output, regenerate the file with
 
 import contextlib
 import io
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 from nilnov.cli import main
 
@@ -22,6 +25,7 @@ GOLDEN = ROOT / "tests" / "data" / "cli_golden.txt"
 # paths are relative to the repository root
 COMMANDS = [
     "collect demos/data/heis.pcg 'b a'",
+    "collect demos/data/f23.pcg 'b^1000 a^1000'",
     "lcs demos/data/heis.pcg --class 2",
     "refine demos/data/heis.pcg",
     "order demos/data/heis.pcg c a",
@@ -62,6 +66,32 @@ def transcript():
 
 def test_cli_transcript_is_byte_identical():
     assert transcript() == GOLDEN.read_text(encoding="utf-8")
+
+
+# one command per kind of iteration over sets and dicts: class-2 quotient,
+# Novikov sign sweep, sign-sweep criterion, class-3 collection
+HASH_SEED_COMMANDS = [
+    "nq demos/data/f2.fpg --class 2",
+    "nov-h demos/data/bs12.fpg --char demos/data/chi_z.mchar --degree 1 --frontier 6 --sweep",
+    "theorem-f demos/data/torus.fpg --quotient self --char demos/data/chi_torus.mchar -d 2",
+    "collect demos/data/f23.pcg 'b^1000 a^1000'",
+]
+
+
+def _run_with_hash_seed(command, seed):
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "nilnov.cli", *shlex.split(command)],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    return proc.stdout, proc.returncode
+
+
+def test_stdout_does_not_depend_on_the_hash_seed():
+    assert set(HASH_SEED_COMMANDS) <= set(COMMANDS)
+    for command in HASH_SEED_COMMANDS:
+        out, code = _run_with_hash_seed(command, 0)
+        assert out and code != 1, command
+        assert (out, code) == _run_with_hash_seed(command, 1), command
 
 
 def readme_commands():

@@ -152,8 +152,9 @@ class TestSubgroup:
 
 class TestClassThree:
     """Free nilpotent group of class 3 on two generators: the pair (b, a)
-    has the non-central tail c, exercising the general conjugation path and
-    the inverse-table recursion."""
+    has the non-central tail c, so conjugation by a^e goes through the
+    memoised images phi_a^{+-2^k}(b) of the automorphism phi_a(x) = a^-1 x a,
+    including the recursion phi^-1(b) = b phi^-1(c)^-1."""
 
     def test_defining_collections(self, free_class3):
         G = free_class3
@@ -184,6 +185,31 @@ class TestClassThree:
             assert G.mul(G.mul(u, v), w) == G.mul(u, G.mul(v, w))
             assert G.mul(u, G.inv(u)) == ()
 
+    def test_closed_form_collection(self, free_class3):
+        # b^n a^m = a^m b^n c^(mn) d^(n C(m,2)) e^(m C(n,2)), C(x,2) = x(x-1)/2
+        G = free_class3
+        a, b = G.index["a"], G.index["b"]
+        values = [1, -1, 2, -2, 11, -11, 999, 10**6, -10**6]
+        for n in values:
+            for m in values:
+                exps = [m, n, m * n, n * (m * (m - 1) // 2), m * (n * (n - 1) // 2)]
+                expected = tuple((G.index[g], e) for g, e in zip("abcde", exps) if e)
+                assert G.collect([(b, n), (a, m)]) == expected, (n, m)
+
+    def test_group_axioms_large_exponents(self, free_class3):
+        G = free_class3
+        rng = random.Random(2024)
+        gens = list(range(G.ngens))
+
+        def elt():
+            return G.collect([(rng.choice(gens), rng.choice((1, -1)) * rng.randint(1, 10**4))
+                              for _ in range(4)])
+
+        for _ in range(60):
+            u, v, w = elt(), elt(), elt()
+            assert G.mul(G.mul(u, v), w) == G.mul(u, G.mul(v, w))
+            assert G.mul(u, G.inv(u)) == () == G.mul(G.inv(u), u)
+
     def test_lower_central_series_witt_ranks(self, free_class3):
         series = lower_central_series(free_class3, 3)
         assert series.gammas[1].describe() == ["c", "d", "e"]
@@ -198,3 +224,48 @@ class TestClassThree:
         series = free_abelianization_refine(G)
         assert [t.describe() for t in series.terms] == \
             [["a", "b", "c", "d", "e"], ["c", "d", "e"], []]
+
+
+UT5_SRC = """
+pcgroup UT5
+level 0: x01 x12 x23 x34
+level 1: x02 x13 x24
+level 2: x03 x14
+level 3: x04
+conj x12 x01 = x02^-1
+conj x23 x12 = x13^-1
+conj x34 x23 = x24^-1
+conj x02 x23 = x03
+conj x13 x01 = x03^-1
+conj x13 x34 = x14
+conj x24 x12 = x14^-1
+conj x24 x02 = x04^-1
+conj x03 x34 = x04
+conj x14 x01 = x04^-1
+"""
+
+
+def unitriangular_matrix(word, names):
+    """Independent oracle: x_ij^e is the 5x5 matrix I + e E_ij."""
+    m = [[int(r == c) for c in range(5)] for r in range(5)]
+    for g, e in word:
+        i, j = int(names[g][1]), int(names[g][2])
+        for row in m:
+            row[j] += e * row[i]
+    return m
+
+
+class TestClassFour:
+    """UT(5, Z), class 4: seven pairs have non-central tails, in levels 1
+    and 2, so collection nests the power-of-two images of several
+    conjugation automorphisms."""
+
+    def test_matrix_oracle_large_exponents(self):
+        G = parse_pc(UT5_SRC)
+        rng = random.Random(5)
+        for _ in range(150):
+            w = [(rng.randrange(G.ngens), rng.choice((1, -1)) * rng.randint(1, 10**4))
+                 for _ in range(rng.randint(1, 8))]
+            nf = G.collect(w)
+            assert [g for g, _ in nf] == sorted({g for g, _ in nf})
+            assert unitriangular_matrix(w, G.gen_names) == unitriangular_matrix(nf, G.gen_names)
