@@ -1,7 +1,10 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
 A field object does the arithmetic; coefficients are stored in canonical
-form (reduced Fraction for Q, an int in [0, p) for F_p).
+form: for Q an int when integral, else a reduced Fraction; for F_p an int
+in [0, p).  Integers keep the common integral case off Fraction's slow
+arithmetic, and since an int and the equal Fraction compare, hash and print
+alike, the mixed form changes no result or output.
 """
 
 from fractions import Fraction
@@ -9,26 +12,33 @@ from fractions import Fraction
 from .errors import ParseError
 
 
+def _canonical(q):
+    """A Fraction as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Rationals:
     name = "Q"
     characteristic = 0
 
     def coerce(self, x):
-        return Fraction(x)
+        return x if type(x) is int else _canonical(Fraction(x))
 
     @property
     def zero(self):
-        return Fraction(0)
+        return 0
 
     @property
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int else _canonical(c)
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int else _canonical(c)
 
     def neg(self, a):
         return -a
@@ -36,7 +46,7 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return _canonical(1 / Fraction(a))
 
     def is_zero(self, a):
         return a == 0

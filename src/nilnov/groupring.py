@@ -199,12 +199,13 @@ def ring_mul(x, y):
         for h, ch in y.terms.items():
             k = group.mul(g, h)
             c = field.mul(cg, ch)
-            if k in terms:
-                c = field.add(terms[k], c)
-            if field.is_zero(c):
-                terms.pop(k, None)
-            else:
-                terms[k] = c
+            old = terms.get(k)
+            if old is not None:
+                c = field.add(old, c)
+                if field.is_zero(c):
+                    del terms[k]
+                    continue
+            terms[k] = c  # a product of nonzero coefficients is nonzero
     return RingElt(ring, terms)
 
 

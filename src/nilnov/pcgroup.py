@@ -8,6 +8,12 @@ the successive quotient Q_i/Q_{i+1}.
 
 Elements are normal forms: tuples of (generator index, nonzero exponent)
 with strictly increasing indices.  Collection from the left computes them.
+
+When every tail is central (no tail uses a generator that occurs in a
+relation with a nonempty tail; class <= 2, as for H3 and the class-2
+quotients of nq), the product of two normal forms has a closed form and
+`mul` computes it without collecting; see `PcGroup.mul`.  Any other group
+multiplies by collection.
 """
 
 from . import intlinalg
@@ -48,6 +54,16 @@ class PcGroup:
         self._noncentral = {pair for pair, w in conj_tails.items()
                             if any(g in touched for g, _ in w)}
         self._phi = {}  # (z, m, sign, k) -> phi_m^{sign 2^k}(z), see _phi_image
+        # with every tail central, _tails_by_x[i] lists (j, normal form of
+        # the tail of conj j i) for the nontrivial tails, and mul uses its
+        # closed form
+        self._tails_by_x = None
+        if not self._noncentral:
+            self._tails_by_x = [[] for _ in range(self.ngens)]
+            for (y, x), w in conj_tails.items():
+                w = self.collect(w)
+                if w:
+                    self._tails_by_x[x].append((y, w))
 
     # -- construction helpers -------------------------------------------
 
@@ -146,7 +162,37 @@ class PcGroup:
         return tuple(out)
 
     def mul(self, a, b):
-        return self.collect(list(a) + list(b))
+        """Product of two normal forms.
+
+        With every tail central, a = prod g_j^{x_j} and b = prod g_i^{y_i}
+        multiply to the exponent vector x + y + sum_{i<j} x_j y_i w_(j,i),
+        where w_(j,i) is the exponent vector of the tail of conj j i: moving
+        g_i^{y_i} left past g_j^{x_j} leaves w_(j,i)^{x_j y_i}, and a central
+        tail commutes with everything, so the tails only add up.  This is
+        exact, not an approximation of collection.  Any other group
+        collects the concatenation.
+        """
+        rows = self._tails_by_x
+        if rows is None:
+            return self.collect(list(a) + list(b))
+        if not a:
+            return b
+        if not b:
+            return a
+        v = [0] * self.ngens
+        for g, x in a:
+            v[g] = x
+        for i, y in b:
+            # v[j] is still x_j here: b's letters come in increasing order,
+            # and tails only touch central generators, which have no row
+            for j, w in rows[i]:
+                x = v[j]
+                if x:
+                    xy = x * y
+                    for g, t in w:
+                        v[g] += xy * t
+            v[i] += y
+        return tuple([(g, e) for g, e in enumerate(v) if e])
 
     def inv(self, a):
         return self.collect([(g, -e) for g, e in reversed(a)])

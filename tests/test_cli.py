@@ -1,7 +1,11 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import nilnov
 from nilnov.cli import main
 
 DATA = pathlib.Path(__file__).parents[1] / "demos" / "data"
@@ -33,6 +37,15 @@ class TestBasicVerbs:
                            "(1 - (1 - c)^-1 a)^-1", "--frontier", "3,4")
         assert code == 0
         assert out.strip().splitlines()[-1].startswith("1 + a + a c")
+
+    def test_python_dash_m_nilnov(self):
+        src = str(pathlib.Path(nilnov.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "nilnov", "collect",
+                               str(DATA / "heis.pcg"), "b a"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0 and proc.stdout == "a b c\n"
 
     def test_order(self, capsys):
         code, out, _ = run(capsys, "order", str(DATA / "heis.pcg"), "c", "a")

@@ -6,6 +6,7 @@ import pytest
 from nilnov import GF, GroupRing, MultiChar, QQ, augment, ring_mul
 from nilnov.errors import MismatchedField, MismatchedGroup, ParseError
 from nilnov.fracparse import parse_fraction_expr
+from nilnov.groupring import RingElt, format_ring_elt
 
 
 def rand_ring_elt(rng, ring, nterms=3):
@@ -60,6 +61,39 @@ class TestRingMul:
                 x = rand_ring_elt(rng, R)
                 assert R.parse(str(x)) == x
                 assert parse_fraction_expr(str(x), R).elem == x
+
+
+class TestRationalCoefficients:
+    """Over Q an integral coefficient is an int and any other a reduced
+    Fraction; the two forms compare, hash and print alike."""
+
+    def test_canonical_forms(self):
+        assert type(QQ.coerce(Fraction(6, 3))) is int and QQ.coerce(Fraction(6, 3)) == 2
+        assert QQ.coerce(Fraction(2, 4)) == Fraction(1, 2)
+        assert type(QQ.zero) is int and type(QQ.one) is int
+        assert QQ.inv(2) == Fraction(1, 2)
+        assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+        assert type(QQ.mul(Fraction(1, 2), 4)) is int
+        assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+        assert type(QQ.add(1, 2)) is int and QQ.add(1, Fraction(1, 2)) == Fraction(3, 2)
+
+    def test_int_and_fraction_elements_agree(self, heis):
+        R = GroupRing(heis, QQ)
+        a, b = heis.generator(0), heis.generator(1)
+        with_ints = RingElt(R, {a: Fraction(1, 2), b: -3})
+        with_fractions = RingElt(R, {a: Fraction(1, 2), b: Fraction(-3)})
+        assert with_ints == with_fractions
+        assert hash(with_ints) == hash(with_fractions)
+        assert R.from_terms([(a, Fraction(1, 2)), (b, Fraction(-3))]) == with_ints
+        for x in (with_ints, with_fractions):
+            assert format_ring_elt(x) == "1/2*a - 3*b"
+
+    def test_prime_field_unchanged(self):
+        F5 = GF(5)
+        assert F5.coerce(Fraction(1, 2)) == 3 and F5.coerce(7) == 2 and F5.coerce(-1) == 4
+        assert F5.inv(2) == 3 and F5.mul(4, 4) == 1 and F5.add(3, 4) == 2
+        assert F5.zero == 0 and F5.one == 1 and F5.neg(1) == 4
+        assert all(type(v) is int for v in (F5.coerce(Fraction(1, 2)), F5.inv(2), F5.neg(1)))
 
 
 class TestLiterals:

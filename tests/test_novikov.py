@@ -120,6 +120,32 @@ class TestNovInvert:
             assert g2.body.terms.get(g) == cf
 
 
+class TestInverseStability:
+    """The inverse at frontier F and at the doubled frontier 2F agree on
+    every term that F retains."""
+
+    def assert_stable(self, chi, trunc, elt):
+        coarse, fine = NovContext(chi, trunc), NovContext(chi, trunc.doubled())
+        g1 = nov_invert(series_from_elt(coarse, elt))
+        g2 = nov_invert(series_from_elt(fine, elt))
+        assert in_box(coarse, g2.body) == g1.body.terms, str(elt)
+
+    def test_heisenberg_units(self, heis):
+        R = GroupRing(heis, QQ)
+        chi = MultiChar(heis, [[1, 1], [1]])
+        rng = random.Random(8)
+        for _ in range(8):
+            s = [rng.choice("+-") for _ in range(4)]
+            self.assert_stable(chi, Trunc([4, 6], 32),
+                               R.parse(f"{s[0]}1 {s[1]} a {s[2]} b {s[3]} c".lstrip("+")))
+
+    @pytest.mark.parametrize("text", ["1 + t", "1 - t", "2 + t", "2 - t"])
+    def test_laurent_units(self, zgroup, text):
+        R = GroupRing(zgroup, QQ)
+        frontier = random.Random(text).randint(4, 10)
+        self.assert_stable(MultiChar(zgroup, [[1]]), Trunc([frontier], 24), R.parse(text))
+
+
 class TestExpand:
     def test_leaf_passthrough(self, heis):
         R = GroupRing(heis, QQ)

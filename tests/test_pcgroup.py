@@ -1,11 +1,13 @@
+import pathlib
 import random
 
 import pytest
 
-from nilnov import Subgroup, free_abelianization_refine, isolator, lower_central_series, parse_pc
+from nilnov import (Subgroup, free_abelianization_refine, isolator, lower_central_series,
+                    nilpotent_quotient, parse_pc, parse_presentation)
 from nilnov.errors import AdaptationError, ParseError, UnknownGenerator
 
-from conftest import heisenberg_matrix
+from conftest import F23_SRC, heisenberg_matrix
 
 
 def rand_word(rng, gens, length, emax=3):
@@ -224,6 +226,81 @@ class TestClassThree:
         series = free_abelianization_refine(G)
         assert [t.describe() for t in series.terms] == \
             [["a", "b", "c", "d", "e"], ["c", "d", "e"], []]
+
+
+DATA = pathlib.Path(__file__).parents[1] / "demos" / "data"
+
+# class 2 with a two-letter tail and a negative exponent
+WIDE_SRC = """
+pcgroup W
+level 0: x y z
+level 1: u v
+conj y x = u^2 v^-1
+conj z x = v
+conj z y = u^-3 v u
+"""
+
+
+def class_two_groups():
+    f2 = parse_presentation("group f2\ngens a b\n")
+    parafree = parse_presentation((DATA / "parafree.fpg").read_text())
+    return {
+        "H3": parse_pc((DATA / "heis.pcg").read_text()),
+        "F2_class2": nilpotent_quotient(f2, 2).target,
+        "parafree_class2": nilpotent_quotient(parafree, 2).target,
+        "W": parse_pc(WIDE_SRC),
+    }
+
+
+def random_normal_form(rng, G, emax):
+    return tuple((g, rng.choice((1, -1)) * rng.randint(1, emax))
+                 for g in range(G.ngens) if rng.random() < 0.7)
+
+
+def count_collections(monkeypatch, G):
+    calls = []
+    collect = G.collect
+    monkeypatch.setattr(G, "collect", lambda word: calls.append(1) or collect(word))
+    return calls
+
+
+class TestClassTwoProduct:
+    """With every tail central, mul adds exponent vectors plus the tails
+    x_j y_i w_(j,i) instead of collecting; collection is the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(class_two_groups()))
+    def test_matches_collection_and_associates(self, name, monkeypatch):
+        G = class_two_groups()[name]
+        rng = random.Random(name)
+        elts = [random_normal_form(rng, G, 10**4) for _ in range(60)]
+        calls = count_collections(monkeypatch, G)
+        products = [G.mul(u, v) for u, v in zip(elts, elts[1:])]
+        assert not calls, "a class-2 product went through collect"
+        for u, v, uv in zip(elts, elts[1:], products):
+            assert uv == G.collect(list(u) + list(v)), (name, u, v)
+        for u, v, w in zip(elts, elts[1:], elts[2:]):
+            assert G.mul(G.mul(u, v), w) == G.mul(u, G.mul(v, w))
+            assert G.mul(u, ()) == u == G.mul((), u)
+            assert G.mul(u, G.inv(u)) == ()
+
+    def test_heisenberg_matrices(self):
+        # the oracle multiplies letter by letter, so the exponents stay small
+        G = class_two_groups()["H3"]
+        rng = random.Random(3)
+        for _ in range(50):
+            u = random_normal_form(rng, G, 30)
+            v = random_normal_form(rng, G, 30)
+            assert heisenberg_matrix(G.mul(u, v), G.index) == \
+                heisenberg_matrix(list(u) + list(v), G.index)
+
+    @pytest.mark.parametrize("name", ["F23", "UT5"])
+    def test_non_central_tails_collect(self, name, monkeypatch):
+        G = parse_pc({"F23": F23_SRC, "UT5": UT5_SRC}[name])
+        rng = random.Random(11)
+        u, v = (random_normal_form(rng, G, 50) for _ in range(2))
+        calls = count_collections(monkeypatch, G)
+        G.mul(u, v)
+        assert calls
 
 
 UT5_SRC = """
