@@ -21,14 +21,19 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 
 class Char:
-    """One level's character: rational value per level generator."""
+    """One level's character: rational value per level generator.
+
+    Values are kept in the canonical form of `fields.Rationals`: an int when
+    integral, else a reduced Fraction.  Integral characters then give int
+    degrees, and an int prints like the equal Fraction.
+    """
 
     def __init__(self, level, values):
         self.level = level
-        self.values = [Fraction(v) for v in values]
+        self.values = [QQ.coerce(v) for v in values]
 
     def __call__(self, vec):
-        return sum((c * x for c, x in zip(self.values, vec)), Fraction(0))
+        return sum(c * x for c, x in zip(self.values, vec))
 
     def is_zero(self):
         return all(v == 0 for v in self.values)
@@ -55,11 +60,17 @@ class MultiChar:
             if len(values) != len(group.level_gens[i]):
                 raise MismatchedGroup(f"level {i} expects {len(group.level_gens[i])} values")
             self.components.append(Char(i, values))
+        # (level, value) per generator index; generators are numbered level by level
+        self._weights = [(i, v) for i, comp in enumerate(self.components) for v in comp.values]
 
     def deg(self, elt):
         """Degree tuple of a normal form: chi_i applied per level syllable."""
-        return tuple(comp(self.group.level_vector(elt, i))
-                     for i, comp in enumerate(self.components))
+        d = [0] * len(self.components)
+        weights = self._weights
+        for g, e in elt:
+            level, v = weights[g]
+            d[level] += v * e
+        return tuple(d)
 
     def with_signs(self, signs):
         """Componentwise sign flip; signs is a list of +1/-1 per level."""

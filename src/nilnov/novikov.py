@@ -3,19 +3,25 @@
 A NovSeries is a finite body plus the promise "unspecified terms at or
 beyond the frontier".  A term is retained when its degree tuple is inside
 the box (every coordinate strictly below the frontier); the lexicographic
-order on degree tuples is used whenever a minimal term is needed.  There is
-no degree calculus across levels, so nothing is trusted to degree
-arithmetic: inversion and expansion verify an explicit residual certificate
-and refuse to return unverified results.
+order on degree tuples is used whenever a minimal term is needed.  Degrees
+and frontier entries are ints when integral (else reduced Fractions).
+
+Degree arithmetic is trusted in one place only: chi_0 is a homomorphism,
+so the level-0 degree of a product is the sum of its factors' level-0
+degrees, and products skip every pair whose sum reaches the level-0
+frontier (such a term would be truncated anyway).  Level-1 and deeper
+degrees are not additive and are never used that way.  The skipped pairs
+change no term inside the frontier box; inversion and expansion verify an
+explicit residual certificate and refuse to return unverified results.
 """
 
 import os
-from fractions import Fraction
 
 from .charorder import failing_node
 from .errors import (CertificateFailure, IncompatibleCharacter,
-                     MismatchedCharacter, NoStrictMinimum,
+                     MismatchedCharacter, MismatchedGroup, NoStrictMinimum,
                      TruncationInsufficient, UnsupportedFraction)
+from .fields import QQ
 from .groupring import RingElt, format_ring_elt, ring_mul
 # the fraction builders live in iterfrac; tests also import these two from here
 from .iterfrac import frac_invert, scalar_leaf  # noqa: F401
@@ -35,16 +41,25 @@ def default_m_max():
 
 
 class Trunc:
-    """Truncation data: frontier degree box and geometric-series cap."""
+    """Truncation data: frontier degree box and geometric-series cap.
+
+    Every frontier entry must be positive: the box must retain the identity,
+    or every residual certificate would pass without checking anything.
+    """
 
     def __init__(self, frontier, m_max=None):
-        self.frontier = tuple(Fraction(t) for t in frontier)
+        self.frontier = tuple(QQ.coerce(t) for t in frontier)
+        if any(t <= 0 for t in self.frontier):
+            raise ValueError("frontier entries must be positive")
         self.m_max = m_max if m_max is not None else default_m_max()
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
 
     def retains(self, deg):
-        return all(d < t for d, t in zip(deg, self.frontier))
+        for d, t in zip(deg, self.frontier):
+            if d >= t:
+                return False
+        return True
 
     def coarser(self, other):
         return Trunc([min(a, b) for a, b in zip(self.frontier, other.frontier)],
@@ -55,7 +70,7 @@ class Trunc:
 
     def widened(self, shift):
         """Frontier raised by max(0, shift_i) per coordinate, same cap."""
-        return Trunc([t + max(Fraction(0), s) for t, s in zip(self.frontier, shift)],
+        return Trunc([t + max(0, s) for t, s in zip(self.frontier, shift)],
                      self.m_max)
 
     def __eq__(self, other):
@@ -115,13 +130,54 @@ class NovSeries:
         return format_series(self)
 
 
+def _check_group(ctx, elt):
+    """Without a projection, elt must live over the multicharacter's group."""
+    if ctx.project is None and elt.ring.group is not ctx.chi.group:
+        raise MismatchedGroup("the element does not live over the multicharacter's group")
+
+
 def truncate_elt(ctx, elt):
     trunc = ctx.trunc
     keep = {g: cf for g, cf in elt.terms.items() if trunc.retains(ctx.deg(g))}
     return RingElt(elt.ring, keep)
 
 
+def _product_below(ctx, x, y):
+    """x*y without the term pairs whose level-0 degree reaches the frontier.
+
+    chi_0 is a homomorphism on G/G_1, and so on free words through the
+    projection, hence deg_0(gh) = deg_0(g) + deg_0(h).  With y's terms
+    sorted by deg_0, the pairs for a term g of x stop at the first h with
+    deg_0(g) + deg_0(h) >= F_0: every later product lies beyond the frontier.
+    Each group element inside the box keeps all its pairs, so on the terms
+    the frontier retains the result equals ring_mul(x, y).
+    """
+    x._check(y)
+    ring = x.ring
+    group, field = ring.group, ring.field
+    deg = ctx.deg
+    f0 = ctx.trunc.frontier[0]
+    ys = sorted(((deg(h)[0], h, ch) for h, ch in y.terms.items()), key=lambda t: t[0])
+    terms = {}
+    for g, cg in x.terms.items():
+        room = f0 - deg(g)[0]
+        for d, h, ch in ys:
+            if d >= room:
+                break
+            k = group.mul(g, h)
+            c = field.mul(cg, ch)
+            old = terms.get(k)
+            if old is not None:
+                c = field.add(old, c)
+                if field.is_zero(c):
+                    del terms[k]
+                    continue
+            terms[k] = c  # a product of nonzero coefficients is nonzero
+    return RingElt(ring, terms)
+
+
 def series_from_elt(ctx, elt):
+    _check_group(ctx, elt)
     return NovSeries(ctx, truncate_elt(ctx, elt))
 
 
@@ -133,9 +189,10 @@ def beyond_frontier(ctx, elt):
 def nov_mul(x, y):
     if not x.ctx.compatible(y.ctx):
         raise MismatchedCharacter("operands carry different multicharacters")
+    _check_group(x.ctx, x.body)
+    _check_group(y.ctx, y.body)
     ctx = x.ctx.with_trunc(x.ctx.trunc.coarser(y.ctx.trunc))
-    prod = ring_mul(x.body, y.body)
-    return NovSeries(ctx, truncate_elt(ctx, prod))
+    return NovSeries(ctx, truncate_elt(ctx, _product_below(ctx, x.body, y.body)))
 
 
 def format_degree(deg):
@@ -176,6 +233,7 @@ def nov_invert(beta):
     """
     ctx = beta.ctx
     body = beta.body
+    _check_group(ctx, body)
     ring = body.ring
     group, field = ring.group, ring.field
     q, r, _ = minimal_term(ctx, body)
@@ -191,14 +249,14 @@ def nov_invert(beta):
     S = one
     P = one
     for _ in range(ctx.trunc.m_max):
-        P = truncate_elt(wctx, ring_mul(P, beta_plus))
+        P = truncate_elt(wctx, _product_below(wctx, P, beta_plus))
         if P.is_zero():
             break
         S = S + P
     gamma = ring_mul(beta0_inv, S)
     # both residuals are checked: elimination multiplies by gamma on either side
-    if not beyond_frontier(ctx, ring_mul(body, gamma) - one) or \
-            not beyond_frontier(ctx, ring_mul(gamma, body) - one):
+    if not beyond_frontier(ctx, _product_below(ctx, body, gamma) - one) or \
+            not beyond_frontier(ctx, _product_below(ctx, gamma, body) - one):
         raise TruncationInsufficient(
             "residual of the inversion certificate has terms inside the frontier; "
             "raise m_max or shrink the frontier")
@@ -243,7 +301,7 @@ def _expand_rec(frac, ctx, ring):
     B = _assemble(frac.beta, ctx, ring)
     inv = nov_invert(NovSeries(ctx, B))
     body = ring_mul(A, inv.body)
-    residual = ring_mul(B, body) - A
+    residual = _product_below(ctx, B, body) - A
     if not beyond_frontier(ctx, residual):
         raise CertificateFailure(
             "node certificate failed: beta*result differs from alpha inside the frontier")

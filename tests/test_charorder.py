@@ -90,6 +90,43 @@ class TestMultiChar:
         assert flipped.components[1].values == [Fraction(-1)]
 
 
+class TestIntegerDegrees:
+    """Character values are ints when integral, and deg is the sum of
+    chi_i over each level's syllables, as level_vector computes them."""
+
+    @staticmethod
+    def fraction_deg(chi, g):
+        group = chi.group
+        return tuple(sum((Fraction(c) * x for c, x in zip(comp.values, group.level_vector(g, i))),
+                         Fraction(0))
+                     for i, comp in enumerate(chi.components))
+
+    def test_integral_values_are_ints(self, heis):
+        chi = MultiChar(heis, [[Fraction(4, 2), -1], ["3"]])
+        assert [[type(v) for v in c.values] for c in chi.components] == [[int, int], [int]]
+        assert chi.components[0].values == [2, -1]
+        half = MultiChar(heis, [[Fraction(1, 2), 0], [1]])
+        assert half.components[0].values[0] == Fraction(1, 2)
+
+    @pytest.mark.parametrize("name,values", [
+        ("heis", [[1, -2], [3]]),
+        ("heis", [[Fraction(1, 2), Fraction(-2, 3)], [Fraction(3, 4)]]),
+        ("free_class3", [[2, -1], [1], [1, -3]]),
+        ("free_class3", [[Fraction(1, 3), 1], [Fraction(-5, 2)], [0, Fraction(7, 4)]]),
+    ])
+    def test_deg_matches_fraction_formula(self, request, name, values):
+        G = request.getfixturevalue(name)
+        chi = MultiChar(G, values)
+        integral = all(Fraction(v).denominator == 1 for comp in values for v in comp)
+        rng = random.Random(name + str(values))
+        for _ in range(40):
+            g = rand_elt(rng, G, length=4)
+            d = chi.deg(g)
+            assert d == self.fraction_deg(chi, g)
+            if integral:
+                assert all(type(x) is int for x in d)
+
+
 class TestCompatibility:
     def _ring(self, G):
         return GroupRing(G, QQ)

@@ -163,6 +163,10 @@ DUP_GENS = pathlib.Path(__file__).parent / "data" / "dup_gens.fpg"
     (None, ["nov-invert", *Z, "1 - t", "--frontier", "1/0"],
      "bad frontier '1/0' (expected rationals like 8 or 3,4)"),
     (None, ["nov-invert", *Z, "1 - t", "--mmax", "0"], "m_max must be >= 1"),
+    (None, [*BS12, "-d", "1", "--frontier=0"], "frontier entries must be positive"),
+    (None, ["theorem-f", str(DATA / "torus.fpg"), "--quotient", "self",
+            "--char", str(DATA / "chi_torus.mchar"), "--frontier=-1/2"],
+     "frontier entries must be positive"),
     (None, ["nov-invert", "--group", str(DATA / "z.pcg"), "--char", str(BAD_MCHAR), "1 - t"],
      "line 1: zero denominator in '1/0'"),
     (None, ["ring-mul", str(DATA / "heis.pcg"), "1/0*a", "a"], "zero denominator in '1/0'"),
@@ -184,6 +188,7 @@ DUP_GENS = pathlib.Path(__file__).parent / "data" / "dup_gens.fpg"
     (None, ["nov-invert", "--group", str(DATA / "z.pcg"), "--char", str(TWICE_MCHAR), "1 - t"],
      "line 1: generator 't' assigned twice"),
 ], ids=["env-mmax", "field", "frontier", "frontier-zero-denominator", "mmax",
+        "nov-h-frontier-zero", "theorem-f-frontier-negative",
         "mchar-zero-denominator", "literal-zero-denominator", "literal-outside-field",
         "literal-doubled-operator", "fit-char-lattice-point", "expand-invert-zero",
         "expand-invert-zero-sum", "nov-h-degree-above", "nov-h-degree-below",

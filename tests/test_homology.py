@@ -1,4 +1,5 @@
 import pathlib
+import random
 
 import pytest
 
@@ -312,3 +313,68 @@ class TestEuler:
         report.h[2] = 2  # corrupt it: betti numbers 1 2 2
         with pytest.raises(InconsistentReport):
             euler_check(cx, [report])
+
+
+def tietze_variant(P, rng):
+    """P with each relator cyclically rotated and maybe inverted, the
+    relators shuffled, and the generators renamed x0, x1, ... in a shuffled
+    order; returns the new presentation and the new name of each generator."""
+    relators = []
+    for r in P.relators:
+        k = rng.randrange(len(r))
+        r = list(r[k:] + r[:k])
+        if rng.random() < 0.5:
+            r = [(g, -e) for g, e in reversed(r)]
+        relators.append(r)
+    rng.shuffle(relators)
+    order = list(range(len(P.gen_names)))
+    rng.shuffle(order)
+    position = {old: new for new, old in enumerate(order)}
+    names = [f"x{i}" for i in range(len(order))]
+
+    def fmt(word):
+        return " ".join(f"{names[position[g]]}^{e}" for g, e in word)
+
+    text = f"group variant\ngens {' '.join(names)}\n" + "".join(f"rel {fmt(r)}\n"
+                                                                for r in relators)
+    return parse_presentation(text), {old: names[position[i]]
+                                      for i, old in enumerate(P.gen_names)}
+
+
+class TestTietzeInvariance:
+    """Presentations of one group give one set of verdicts.  The class-1
+    quotient of the mapping torus is Z, and chi(t) = 1 fixes the character
+    whatever basis the quotient picks."""
+
+    FRONTIER = 3
+
+    def verdicts(self, P, t):
+        q = nilpotent_quotient(P, 1)
+        (image,) = q.target.level_vector(q.apply_word(((P.gen_names.index(t), 1),)), 0)
+        assert abs(image) == 1
+        chi = MultiChar(q.target, [[image]])
+        trunc = Trunc([self.FRONTIER], 48)
+        verdict = theorem_f(P, q, chi, 2, trunc)
+        cx = fox_complex(P, q, QQ, project=False)
+        assert euler_check(cx, verdict.reports)
+        out = [verdict.conclusion] + [(r.pattern, r.verdicts, r.stable) for r in verdict.reports]
+        for signs in sign_patterns(1):
+            for degree in (0, 1, 2):
+                rep = nov_cohomology(cx, chi, degree, trunc, signs=signs)
+                assert euler_check(cx, [rep])
+                out.append((degree, rep.pattern, rep.verdicts[degree], rep.stable))
+        return out
+
+    def test_mapping_torus_relator_moves_and_renaming(self):
+        P = parse_presentation((DATA / "mapping_torus.fpg").read_text())
+        expected = self.verdicts(P, "t")
+        assert expected[0] == CD_DROP
+        rng = random.Random(11)
+        for _ in range(8):
+            variant, names = tietze_variant(P, rng)
+            assert self.verdicts(variant, names["t"]) == expected, variant.relators
+
+    def test_one_relator_form(self):
+        two = parse_presentation((DATA / "mapping_torus.fpg").read_text())
+        one = parse_presentation((DATA / "mapping_torus_1rel.fpg").read_text())
+        assert self.verdicts(one, "t") == self.verdicts(two, "t")

@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 
@@ -5,13 +6,16 @@ import pytest
 
 from nilnov import (GroupRing, LexOrder, MultiChar, NovContext, NovSeries, QQ,
                     Trunc, expand, format_series, frac_invert, nov_invert,
-                    nov_mul, ring_mul, series_from_elt)
+                    nov_mul, parse_presentation, ring_mul, series_from_elt)
 from nilnov.errors import (IncompatibleCharacter, MismatchedCharacter,
-                           NoStrictMinimum, TruncationInsufficient,
-                           UnsupportedFraction)
+                           MismatchedGroup, NoStrictMinimum,
+                           TruncationInsufficient, UnsupportedFraction)
 from nilnov.fracparse import parse_fraction_expr
 from nilnov.iterfrac import Leaf, Node
-from nilnov.novikov import beyond_frontier, scalar_leaf, truncate_elt
+from nilnov.novikov import _product_below, beyond_frontier, scalar_leaf, truncate_elt
+from nilnov.presentations import nilpotent_quotient
+
+DATA = pathlib.Path(__file__).parents[1] / "demos" / "data"
 
 
 def in_box(ctx, elt):
@@ -58,6 +62,141 @@ class TestNovMul:
         chi = MultiChar(heis, [[1, 0], [1]])
         with pytest.raises(MismatchedCharacter, match="frontier has 1 entries"):
             NovContext(chi, Trunc([3], 12))
+
+
+class TestTrunc:
+    @pytest.mark.parametrize("frontier", [[0], [3, -1], [Fraction(-1, 2)], [5, 0]])
+    def test_non_positive_entry_rejected(self, frontier):
+        # such a box drops the identity, so every certificate would pass
+        with pytest.raises(ValueError, match="frontier entries must be positive"):
+            Trunc(frontier, 8)
+
+    def test_entries_are_ints_when_integral(self):
+        trunc = Trunc([Fraction(4, 2), "5/2"], 8)
+        assert trunc.frontier == (2, Fraction(5, 2)) and type(trunc.frontier[0]) is int
+        assert trunc.widened((Fraction(1, 2), -3)).frontier == (Fraction(5, 2), Fraction(5, 2))
+        assert repr(trunc.doubled()) == "Trunc(4,5; m_max=16)"
+
+
+class TestWrongGroup:
+    """Without a projection, an element must live over chi's group."""
+
+    def setup_ctx(self, heis, z3group):
+        ctx = NovContext(MultiChar(heis, [[1, 1], [1]]), Trunc([3, 4], 16))
+        return ctx, GroupRing(z3group, QQ).parse("1 + a"), GroupRing(heis, QQ).parse("1 + a")
+
+    def test_series_from_elt(self, heis, z3group):
+        ctx, foreign, _ = self.setup_ctx(heis, z3group)
+        with pytest.raises(MismatchedGroup):
+            series_from_elt(ctx, foreign)
+
+    def test_nov_invert(self, heis, z3group):
+        ctx, foreign, _ = self.setup_ctx(heis, z3group)
+        with pytest.raises(MismatchedGroup):
+            nov_invert(NovSeries(ctx, foreign))
+
+    def test_nov_mul(self, heis, z3group):
+        ctx, foreign, own = self.setup_ctx(heis, z3group)
+        with pytest.raises(MismatchedGroup):
+            nov_mul(series_from_elt(ctx, own), NovSeries(ctx, foreign))
+        with pytest.raises(MismatchedGroup):
+            nov_mul(NovSeries(ctx, foreign), series_from_elt(ctx, own))
+
+
+def rand_ring_elt(rng, ring, word, nterms, fractional=False):
+    terms = []
+    for _ in range(nterms):
+        cf = rng.choice([-3, -2, -1, 1, 2, 3])
+        if fractional and rng.random() < 0.5:
+            cf = Fraction(cf, rng.choice([2, 3, 5]))
+        terms.append((word(), cf))
+    return ring.from_terms(terms)
+
+
+def rand_word(rng, G, length=4):
+    """A sampler of seeded normal forms (pc groups) or reduced words (free groups)."""
+    return lambda: G.collect([(rng.randrange(G.ngens), rng.choice([-2, -1, 1, 2]))
+                              for _ in range(rng.randint(0, length))])
+
+
+def parafree_context(values, frontier):
+    """Free words of Baumslag's parafree group, measured through its class-2 quotient."""
+    P = parse_presentation((DATA / "parafree.fpg").read_text())
+    q = nilpotent_quotient(P, 2)
+    ctx = NovContext(MultiChar(q.target, values), Trunc(frontier, 16), q.apply_word)
+    return ctx, P.free_ring(QQ), P.free_group
+
+
+class TestProductBelow:
+    """The level-0-pruned product agrees with ring_mul on every retained term."""
+
+    CASES = [
+        ("heis", [[1, 1], [1]], [3, 4]),
+        ("heis", [[1, -2], [3]], [2, 5]),
+        ("heis", [[Fraction(1, 2), Fraction(-2, 3)], [Fraction(3, 4)]], [2, 3]),
+        ("heis", [[1, 1], [-1]], [Fraction(5, 2), Fraction(7, 3)]),
+        ("free_class3", [[1, 2], [-1], [1, -1]], [3, 3, 4]),
+        ("free_class3", [[Fraction(1, 3), 1], [Fraction(5, 2)], [2, 1]],
+         [Fraction(7, 3), 3, Fraction(9, 2)]),
+    ]
+
+    def check(self, ctx, x, y):
+        pruned = _product_below(ctx, x, y)
+        full = ring_mul(x, y)
+        assert truncate_elt(ctx, pruned) == truncate_elt(ctx, full), (x, y)
+        return len(pruned.terms) < len(full.terms)
+
+    @pytest.mark.parametrize("name,values,frontier", CASES)
+    def test_pc_backend(self, request, name, values, frontier):
+        G = request.getfixturevalue(name)
+        ctx = NovContext(MultiChar(G, values), Trunc(frontier, 16))
+        R = GroupRing(G, QQ)
+        rng = random.Random(str((name, values, frontier)))
+        word = rand_word(rng, G)
+        skipped = 0
+        for i in range(30):
+            x = rand_ring_elt(rng, R, word, rng.randint(1, 6), fractional=i % 2 == 1)
+            y = rand_ring_elt(rng, R, word, rng.randint(1, 6))
+            skipped += self.check(ctx, x, y)
+        assert skipped  # pruning happened, so the comparison is not vacuous
+
+    @pytest.mark.parametrize("values,frontier", [
+        ([[1, 2], [1]], [2, 2]),
+        ([[Fraction(1, 2), -1], [Fraction(-3, 2)]], [Fraction(3, 2), 2]),
+    ])
+    def test_free_backend_with_projection(self, values, frontier):
+        ctx, R, F = parafree_context(values, frontier)
+        rng = random.Random(str((values, frontier)))
+        word = rand_word(rng, F)
+        skipped = 0
+        for i in range(30):
+            x = rand_ring_elt(rng, R, word, rng.randint(1, 5), fractional=i % 2 == 1)
+            y = rand_ring_elt(rng, R, word, rng.randint(1, 5))
+            skipped += self.check(ctx, x, y)
+        assert skipped
+
+    @pytest.mark.parametrize("name,values,frontier", CASES[:1] + CASES[4:5])
+    def test_level0_degree_is_additive(self, request, name, values, frontier):
+        G = request.getfixturevalue(name)
+        ctx = NovContext(MultiChar(G, values), Trunc(frontier, 16))
+        word = rand_word(random.Random(name), G)
+        for _ in range(60):
+            g, h = word(), word()
+            assert ctx.deg(G.mul(g, h))[0] == ctx.deg(g)[0] + ctx.deg(h)[0]
+
+    def test_level0_degree_is_additive_through_projection(self):
+        ctx, _, F = parafree_context([[1, 2], [1]], [2, 2])
+        word = rand_word(random.Random(4), F)
+        for _ in range(60):
+            g, h = word(), word()
+            assert ctx.deg(F.mul(g, h))[0] == ctx.deg(g)[0] + ctx.deg(h)[0]
+
+    def test_level1_degree_is_not_additive(self, heis):
+        # b a = a b c: the product picks up a cross term at level 1
+        ctx = NovContext(MultiChar(heis, [[1, 1], [1]]), Trunc([3, 3], 16))
+        a, b = heis.generator(heis.index["a"]), heis.generator(heis.index["b"])
+        assert ctx.deg(heis.mul(b, a)) == (2, 1)
+        assert ctx.deg(b)[1] + ctx.deg(a)[1] == 0
 
 
 class TestNovInvert:
