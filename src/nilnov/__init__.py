@@ -9,7 +9,8 @@ drops of conilpotent kernels.
 __version__ = "0.1.0"
 
 from .charorder import (Char, LexOrder, MultiChar, fit_character,
-                        fit_multicharacter, is_compatible, parse_mchar)
+                        fit_multicharacter, format_mchar, is_compatible,
+                        parse_mchar)
 from .fields import GF, QQ
 from .groupring import FreeGroup, GroupRing, RingElt, augment, ring_mul
 from .homology import (CriterionVerdict, RankReport, betti, euler_check,
@@ -25,7 +26,7 @@ from .presentations import (FreeChainComplex, Presentation, QuotientMap,
 
 __all__ = [
     "Char", "LexOrder", "MultiChar", "fit_character",
-    "fit_multicharacter", "is_compatible", "parse_mchar",
+    "fit_multicharacter", "is_compatible", "format_mchar", "parse_mchar",
     "GF", "QQ",
     "FreeGroup", "GroupRing", "RingElt", "augment", "ring_mul",
     "CriterionVerdict", "RankReport", "betti", "euler_check",

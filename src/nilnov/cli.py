@@ -46,7 +46,7 @@ def _load_presentation(path):
 
 def _trunc(args, nlevels):
     """Truncation from --frontier (one entry per level, or one for all) and
-    --mmax (default: NILNOV_MMAX, then 64)."""
+    --mmax (Trunc's DEFAULT_M_MAX when it is absent)."""
     text = str(DEFAULT_FRONTIER_ENTRY) if args.frontier is None else args.frontier
     try:
         frontier = [parse_rational(part) for part in text.split(",")]
@@ -60,10 +60,6 @@ def _trunc(args, nlevels):
         return Trunc(frontier, args.mmax)
     except ValueError as e:
         raise NilnovError(str(e))
-
-
-def _frontier_str(trunc):
-    return ",".join(str(t) for t in trunc.frontier)
 
 
 def _header(verb, cfg):
@@ -148,7 +144,7 @@ def _series_setup(args, verb):
     trunc = _trunc(args, G.nlevels)
     out = _header(verb, {
         "group": G.name, "field": args.field.name,
-        "frontier": _frontier_str(trunc),
+        "frontier": str(trunc),
         "m_max": trunc.m_max, "pattern": "+" * G.nlevels,
     })
     return ring, chi, trunc, out
@@ -226,7 +222,7 @@ def _nov_h(args):
         raise ParseError(f"bad sign pattern {args.sign!r} "
                          f"(expected one + or - per level, {n} in all)")
     cx = fox_complex(P, qmap, args.field, project=(args.entries == "projected"))
-    fr = _frontier_str(trunc)
+    fr = str(trunc)
     out = _header("nov-h", {
         "presentation": P.name, "field": args.field.name, "frontier": fr,
         "m_max": trunc.m_max, "degree": args.degree,
@@ -249,14 +245,14 @@ def _theorem_f(args):
     chi = parse_mchar(_read(args.char), qmap.target)
     trunc = _trunc(args, qmap.target.nlevels)
     verdict = theorem_f(P, qmap, chi, args.degree, trunc, field=args.field)
-    fr = _frontier_str(trunc)
+    fr = str(trunc)
     out = _header("theorem-f", {
         "presentation": P.name, "field": args.field.name, "frontier": fr,
         "m_max": trunc.m_max, "degree": args.degree, "pattern": "sweep",
     })
     for label, rep in zip(verdict.patterns, verdict.reports):
-        out.append(f"pattern {label}: H^{args.degree} {rep.verdicts[args.degree]}"
-                   f" (stable={rep.stable})")
+        stable = "" if rep.stable is None else f" (stable={rep.stable})"
+        out.append(f"pattern {label}: H^{args.degree} {rep.verdicts[args.degree]}{stable}")
     for label, rep in zip(verdict.patterns, verdict.reports):
         out.append(f"verdict {label} {args.degree} {rep.verdicts[args.degree]} {fr}")
     out.append(f"conclusion: {verdict.conclusion}")

@@ -30,7 +30,25 @@ def parse_word(text, index, line=None):
     return word
 
 
-class FreeGroup:
+class WordSyntax:
+    """Word text and generators, shared by both group backends: elements are
+    tuples of (generator index, exponent) syllables over `gen_names`, whose
+    indices `index` holds.  Each backend defines its own `collect`."""
+
+    def generator(self, i):
+        return ((i, 1),)
+
+    def parse_word(self, text):
+        return parse_word(text, self.index)
+
+    def format_elt(self, elt):
+        if not elt:
+            return "1"
+        return " ".join(self.gen_names[g] if e == 1 else f"{self.gen_names[g]}^{e}"
+                        for g, e in elt)
+
+
+class FreeGroup(WordSyntax):
     """Free group on named generators; elements are reduced syllable tuples."""
 
     def __init__(self, names):
@@ -59,24 +77,6 @@ class FreeGroup:
 
     def inv(self, a):
         return tuple((g, -e) for g, e in reversed(a))
-
-    def generator(self, i):
-        return ((i, 1),)
-
-    def exponent_sums(self, a):
-        v = [0] * self.ngens
-        for g, e in a:
-            v[g] += e
-        return v
-
-    def parse_word(self, text):
-        return parse_word(text, self.index)
-
-    def format_elt(self, elt):
-        if not elt:
-            return "1"
-        return " ".join(self.gen_names[g] if e == 1 else f"{self.gen_names[g]}^{e}"
-                        for g, e in elt)
 
     def sort_key(self, elt):
         return (len(elt), elt)
@@ -207,6 +207,14 @@ def ring_mul(x, y):
                     continue
             terms[k] = c  # a product of nonzero coefficients is nonzero
     return RingElt(ring, terms)
+
+
+def dot(xs, ys):
+    """sum_i xs_i * ys_i, for a nonempty xs."""
+    total = xs[0].ring.zero()
+    for x, y in zip(xs, ys):
+        total = total + ring_mul(x, y)
+    return total
 
 
 def augment(x):

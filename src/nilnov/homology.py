@@ -53,8 +53,9 @@ word stays a unique minimal term there.  `nov_cohomology` marks a report
 whose verdict at its degree vanishes under this check `exact`, and makes
 no re-run for it.  With two or more levels the box frontier is not a
 valuation bound (a term beyond the box can be lex-smaller than a pivot),
-so those verdicts, like every witness and every stall, stay "at
-truncation" and are re-run at a doubled frontier for `stable`.
+so those verdicts, like every witness, stay "at truncation" and are
+re-run at a doubled frontier for `stable`.  An inconclusive verdict
+asserts nothing, so it is not re-run.
 """
 
 import itertools
@@ -62,7 +63,7 @@ import itertools
 from .errors import (DimensionMismatch, InconsistentReport, MismatchedCharacter,
                      MismatchedGroup, NoStrictMinimum, TruncationInsufficient)
 from .fields import QQ, rank
-from .groupring import augment, ring_mul
+from .groupring import augment, dot, ring_mul
 from .novikov import (NovContext, NovSeries, beyond_frontier, format_degree,
                       minimal_term, nov_invert)
 from .presentations import fox_complex
@@ -82,8 +83,8 @@ class RankReport:
         self.pattern = None
         self.degree = None          # the degree that `stable` and `exact` speak of
         self.frontier = None
-        self.frontier2 = None
-        self.stable = None
+        self.frontier2 = None       # the doubled frontier of the re-run, if any
+        self.stable = None          # None when there was no re-run
         self.exact = False          # vanishing at `degree` proved over the Novikov ring
         self.witnesses = {}         # degree -> formatted witness cocycle
         self.obstructions = {}      # degree -> description of the stall
@@ -106,7 +107,9 @@ class RankReport:
             if d in self.obstructions:
                 extra = f" obstruction={self.obstructions[d]}"
             hd = self.h[d]
-            stable = f", stable={self.stable}" if d == self.degree else ""
+            stable = ""
+            if d == self.degree and self.stable is not None:
+                stable = f", stable={self.stable}"
             lines.append(f"H^{d} [{self.pattern}]: {self.verdicts[d]}"
                          f" (h={'?' if hd is None else hd}{stable}){extra}")
         return lines
@@ -347,8 +350,8 @@ def pivot_block_is_unit(ctx, L, d2, A, pivots):
     other entry T[r_k][c_j] on a pivot column has all of its terms of
     degree > v_k."""
     for r, c in pivots:
-        row = [_dot(L[r], [d2_row[b] for d2_row in d2]) for b in range(len(A))]
-        entries = {cj: _dot(row, [a_row[cj] for a_row in A]) for _, cj in pivots}
+        row = [dot(L[r], [d2_row[b] for d2_row in d2]) for b in range(len(A))]
+        entries = {cj: dot(row, [a_row[cj] for a_row in A]) for _, cj in pivots}
         try:
             _, _, v = minimal_term(ctx, entries[c])
         except NoStrictMinimum:
@@ -356,13 +359,6 @@ def pivot_block_is_unit(ctx, L, d2, A, pivots):
         if any(ctx.deg(g) <= v for cj, t in entries.items() if cj != c for g in t.terms):
             return False
     return True
-
-
-def _dot(xs, ys):
-    total = xs[0].ring.zero()
-    for x, y in zip(xs, ys):
-        total = total + ring_mul(x, y)
-    return total
 
 
 def _run_elimination(cx, chi, trunc):
@@ -413,9 +409,10 @@ def nov_cohomology(cx, chi, degree, trunc, signs=None):
 
     `signs` flips multicharacter components (the +-chi sweep).  A vanishing
     verdict at `degree` whose elimination passes the exact certificate is
-    marked exact and stable; every other verdict at `degree` is re-computed
-    at a doubled frontier and the stability flag records whether it
-    survived.
+    marked exact and stable.  An inconclusive verdict asserts nothing, so
+    it is not re-run and `stable` and `frontier2` stay None.  Every other
+    verdict at `degree` is re-computed at a doubled frontier and the
+    stability flag records whether it survived.
     """
     if degree not in (0, 1, 2):
         raise DimensionMismatch(f"degree {degree} outside 0..2")
@@ -429,6 +426,8 @@ def nov_cohomology(cx, chi, degree, trunc, signs=None):
     if report.verdicts[degree] == VANISHES and elim.vanishing_is_exact():
         report.exact = report.stable = True
         return report
+    if report.verdicts[degree] == INCONCLUSIVE:
+        return report
     t2 = trunc.doubled()
     _, report2 = _run_elimination(cx, work_chi, t2)
     report.frontier2 = t2.frontier
@@ -439,12 +438,12 @@ def nov_cohomology(cx, chi, degree, trunc, signs=None):
 def theorem_f(presentation, qmap, chi, degree, trunc, field=None):
     """Sign-sweep criterion: vanishing top Novikov cohomology for all 2^n
     patterns certifies (at truncation) the cohomological-dimension drop of
-    the kernel of the quotient map.
+    the kernel of the quotient map.  The criterion speaks of the top degree
+    only: vanishing below it says nothing about the kernel's dimension.
     """
-
     top = 2 if presentation.relators else 1
-    if degree not in (1, 2) or degree > top:
-        raise DimensionMismatch(f"degree {degree} unsupported for this complex (top {top})")
+    if degree != top:
+        raise DimensionMismatch(f"degree {degree} is not the top degree {top} of this complex")
     cx = fox_complex(presentation, qmap, field or QQ, project=False)
     reports = [nov_cohomology(cx, chi, degree, trunc, signs=signs)
                for signs in sign_patterns(chi.group.nlevels)]

@@ -1,10 +1,11 @@
-"""Exact integer matrix normal forms: Hermite and Smith, with transforms.
+"""Exact integer matrix normal forms: Hermite and diagonal, with transforms.
 
 Everything works on lists of lists of Python ints, so there is no coefficient
-overflow.  Rows span lattices; all routines are deterministic.
+overflow.  Rows span lattices; all routines are deterministic.  Membership
+and solving go through the row Hermite form; saturation and minimal
+multiples go through one diagonal form U*A*V = D.
 """
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -14,23 +15,6 @@ def _copy(mat):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    n, m, l = len(a), len(b), len(b[0])
-    out = [[0] * l for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(m):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                for j in range(l):
-                    oi[j] += c * bk[j]
-    return out
 
 
 def hermite_row_form(mat, ncols=None):
@@ -79,10 +63,21 @@ def hermite_row_form(mat, ncols=None):
     return H[:row], U
 
 
-def smith_normal_form(mat, nrows=None, ncols=None):
-    """Smith normal form with transforms: returns (D, U, V), U*mat*V = D.
+def diagonal_form(mat, nrows=None, ncols=None):
+    """Diagonal form with transforms: returns (D, U, V), U*mat*V = D.
 
-    D is diagonal with d_1 | d_2 | ... ; U, V unimodular.
+    U and V are unimodular; D is diagonal, its nonzero entries positive and
+    first, so their count is the rank.  The divisibility chain of the Smith
+    form is not enforced, because no caller needs it (Cohen, A Course in
+    Computational Algebraic Number Theory, GTM 138, 2.4):
+
+    - `saturate_rows` needs only the rank and the rows of V^-1, whose first
+      rank rows span the saturation;
+    - `quotient_by_normal` needs only "every nonzero D_ii is 1", which
+      holds exactly when the lattice is saturated: the product of the
+      D_ii is the index of the lattice in its saturation;
+    - `minimal_multiple_in_lattice` reads d and its coefficients off D
+      entry by entry.
     """
     if nrows is None:
         nrows = len(mat)
@@ -124,7 +119,7 @@ def smith_normal_form(mat, nrows=None, ncols=None):
                     best = v
                     piv = (i, j)
         if piv is None:
-            break
+            return D, U, V
         i, j = piv
         if i != t:
             row_swap(t, i)
@@ -153,60 +148,14 @@ def smith_normal_form(mat, nrows=None, ncols=None):
             U[t] = [-x for x in U[t]]
         t += 1
 
-    # enforce divisibility d_t | d_{t+1}
-    rank = t
-    changed = True
-    while changed:
-        changed = False
-        for s in range(rank - 1):
-            a, b = D[s][s], D[s + 1][s + 1]
-            if b % a:
-                # add col s+1 to col s, then re-eliminate the 2x2 block
-                for r in range(nrows):
-                    D[r][s] += D[r][s + 1]
-                for r in range(ncols):
-                    V[r][s] += V[r][s + 1]
-                while D[s + 1][s]:
-                    q = D[s][s] // D[s + 1][s]
-                    D[s] = [x - q * y for x, y in zip(D[s], D[s + 1])]
-                    U[s] = [x - q * y for x, y in zip(U[s], U[s + 1])]
-                    D[s], D[s + 1] = D[s + 1], D[s]
-                    U[s], U[s + 1] = U[s + 1], U[s]
-                q = D[s][s + 1] // D[s][s]
-                for r in range(nrows):
-                    D[r][s + 1] -= q * D[r][s]
-                for r in range(ncols):
-                    V[r][s + 1] -= q * V[r][s]
-                if D[s][s] < 0:
-                    D[s] = [-x for x in D[s]]
-                    U[s] = [-x for x in U[s]]
-                if D[s + 1][s + 1] < 0:
-                    D[s + 1] = [-x for x in D[s + 1]]
-                    U[s + 1] = [-x for x in U[s + 1]]
-                changed = True
-    return D, U, V
-
-
-def lattice_rank(rows, n):
-    H, _ = hermite_row_form(rows, n)
-    return len(H)
-
 
 def saturate_rows(rows, n):
     """Basis of the saturation (Q-span of rows) intersect Z^n, as HNF rows."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return []
-    D, _U, V = smith_normal_form(rows, len(rows), n)
-    rank = 0
-    for i in range(min(len(rows), n)):
-        if D[i][i]:
-            rank += 1
+    D, _U, V = diagonal_form(rows, len(rows), n)
+    rank = sum(1 for i in range(min(len(rows), n)) if D[i][i])
     # rows of V^{-1} give a basis of Z^n in which the lattice is spanned by
     # d_i * e_i; the saturation is spanned by the first `rank` basis vectors.
-    Vinv = invert_unimodular(V)
-    sat = [Vinv[i] for i in range(rank)]
-    H, _ = hermite_row_form(sat, n)
+    H, _ = hermite_row_form(invert_unimodular(V)[:rank], n)
     return H
 
 
@@ -244,54 +193,28 @@ def solve_in_lattice(rows, target):
     return coeffs
 
 
-def member_of_lattice(rows, target):
-    return solve_in_lattice(rows, target) is not None
-
-
 def minimal_multiple_in_lattice(rows, v):
-    """A small d >= 1 with d*v in the row lattice, with integer coefficients.
+    """The least d >= 1 with d*v in the row lattice, with integer coefficients.
 
     Returns (d, coeffs) with d*v == sum_i coeffs_i * rows_i, or None when no
-    multiple of v lies in the Q-span of the rows.  d is the lcm of the
-    denominators of the pivot solution (minimal for independent rows).
+    multiple of v lies in the Q-span of the rows.  With U*rows*V = D
+    diagonal, the lattice is {y*D*V^-1 : y integral}, so d*v lies in it
+    exactly when w = v*V has d*w_i = y_i*D_ii below the rank and w_i = 0
+    beyond it.  Hence d = lcm_i D_ii / gcd(D_ii, w_i), and coeffs = y*U
+    with y_i = d*w_i / D_ii, for dependent rows as well.
     """
-    if not any(v):
-        return 1, [0] * len(rows)
-    if not rows:
+    m, n = len(rows), len(v)
+    D, U, V = diagonal_form(rows, m, n)
+    w = [sum(v[i] * V[i][j] for i in range(n)) for j in range(n)]
+    rank = sum(1 for i in range(min(m, n)) if D[i][i])
+    if any(w[rank:]):
         return None
-    n = len(v)
-    # solve over Q by row-reducing rows^T | v^T
-    cols = len(rows)
-    A = [[Fraction(rows[j][i]) for j in range(cols)] + [Fraction(v[i])] for i in range(n)]
-    # gaussian elimination
-    r = 0
-    pivots = []
-    for c in range(cols):
-        pr = next((i for i in range(r, n) if A[i][c]), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if A[i][cols]:
-            return None  # v not in the Q-span
-    coeffs_q = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        coeffs_q[c] = A[i][cols]
     d = 1
-    for q in coeffs_q:
-        d = d * q.denominator // gcd(d, q.denominator)
-    exact = solve_in_lattice(rows, [d * x for x in v])
-    if exact is None:
-        raise AssertionError("integer solution must exist once denominators are cleared")
-    return d, exact
+    for i in range(rank):
+        step = D[i][i] // gcd(D[i][i], w[i])
+        d = d * step // gcd(d, step)
+    y = [d * w[i] // D[i][i] for i in range(rank)]
+    return d, [sum(y[i] * U[i][k] for i in range(rank)) for k in range(m)]
 
 
 def solve_mod_lattice(d, r, rows, n):

@@ -15,8 +15,6 @@ change no term inside the frontier box; inversion and expansion verify an
 explicit residual certificate and refuse to return unverified results.
 """
 
-import os
-
 from .charorder import failing_node
 from .errors import (CertificateFailure, IncompatibleCharacter,
                      MismatchedCharacter, MismatchedGroup, NoStrictMinimum,
@@ -30,16 +28,6 @@ DEFAULT_M_MAX = 64
 DEFAULT_FRONTIER_ENTRY = 8
 
 
-def default_m_max():
-    value = os.environ.get("NILNOV_MMAX")
-    if not value:
-        return DEFAULT_M_MAX
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"NILNOV_MMAX must be an integer, got {value!r}")
-
-
 class Trunc:
     """Truncation data: frontier degree box and geometric-series cap.
 
@@ -51,7 +39,7 @@ class Trunc:
         self.frontier = tuple(QQ.coerce(t) for t in frontier)
         if any(t <= 0 for t in self.frontier):
             raise ValueError("frontier entries must be positive")
-        self.m_max = m_max if m_max is not None else default_m_max()
+        self.m_max = DEFAULT_M_MAX if m_max is None else m_max
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
 
@@ -77,8 +65,12 @@ class Trunc:
         return (isinstance(other, Trunc) and self.frontier == other.frontier
                 and self.m_max == other.m_max)
 
+    def __str__(self):
+        """The frontier as headers, verdict lines and O(...) tails print it."""
+        return ",".join(str(t) for t in self.frontier)
+
     def __repr__(self):
-        return f"Trunc({','.join(str(t) for t in self.frontier)}; m_max={self.m_max})"
+        return f"Trunc({self}; m_max={self.m_max})"
 
 
 class NovContext:
@@ -320,7 +312,7 @@ def format_series(ns):
     """Terms in lexicographic degree order with an explicit O(frontier) tail."""
     ctx = ns.ctx
     group = ns.body.ring.group
-    tail = "O(" + ",".join(str(t) for t in ctx.trunc.frontier) + ")"
+    tail = f"O({ctx.trunc})"
     if ns.body.is_zero():
         return tail
     body = format_ring_elt(ns.body, lambda g: (ctx.deg(g), group.sort_key(g)))

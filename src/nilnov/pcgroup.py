@@ -18,14 +18,14 @@ multiplies by collection.
 
 from . import intlinalg
 from .errors import AdaptationError, ClassUnsupported, ParseError, UnknownGenerator
-from .groupring import parse_word
+from .groupring import WordSyntax, parse_word
 
 Elt = tuple  # ((gen_index, exponent), ...) in normal form
 
 IDENTITY: Elt = ()
 
 
-class PcGroup:
+class PcGroup(WordSyntax):
     def __init__(self, name, level_names, conj_tails):
         """level_names: list of lists of generator names, by level.
         conj_tails: dict (y_index, x_index) -> word (list of (gen, exp))
@@ -220,9 +220,6 @@ class PcGroup:
         """t^-1 a t."""
         return self.collect(list(self.inv(t)) + list(a) + list(t))
 
-    def generator(self, i):
-        return ((i, 1),)
-
     # -- coordinates -----------------------------------------------------
 
     def leading_level(self, elt):
@@ -245,19 +242,6 @@ class PcGroup:
             return ()
         base = self.index[names[0]]
         return tuple((base + i, e) for i, e in enumerate(vec) if e)
-
-    # -- text ------------------------------------------------------------
-
-    def parse_word(self, text):
-        return parse_word(text, self.index)
-
-    def format_elt(self, elt):
-        if not elt:
-            return "1"
-        parts = []
-        for g, e in elt:
-            parts.append(self.gen_names[g] if e == 1 else f"{self.gen_names[g]}^{e}")
-        return " ".join(parts)
 
     def __repr__(self):
         return f"PcGroup({self.name}, {self.ngens} gens, {self.nlevels} levels)"
@@ -389,17 +373,7 @@ class Subgroup:
         return changed
 
     def reduce(self, x):
-        G = self.G
-        while x:
-            g, e = x[0]
-            p = self.pivots.get(g)
-            if p is None:
-                return x
-            d = p[0][1]
-            if e % d:
-                return x
-            x = G.mul(G.pow(p, -(e // d)), x)
-        return x
+        return self.reduce_with_coeffs(x)[0]
 
     def reduce_with_coeffs(self, x):
         """Reduce x, recording pivot exponents: x = prod pivots^q * residual.
@@ -498,9 +472,6 @@ def lower_central_series(group, c):
                 if t:
                     nxt.insert(t)
         nxt.normal_close()
-        if nxt.is_trivial():
-            if gammas[-1].is_trivial():
-                exceeded = True
         gammas.append(nxt)
     isolators = [isolator(group, g) for g in gammas]
     return LowerCentralSeries(group, gammas, isolators, exceeded)
@@ -525,12 +496,11 @@ def isolator(group, sub):
             rows = [group.level_vector(p, level) for p in piv]
             n = len(group.level_gens[level])
             for v in intlinalg.saturate_rows(rows, n):
-                if intlinalg.member_of_lattice(rows, v):
+                # v lies in the saturation, so some multiple lies in the
+                # lattice; d == 1 means v is already a member
+                d, coeffs = intlinalg.minimal_multiple_in_lattice(rows, v)
+                if d == 1:
                     continue
-                dm = intlinalg.minimal_multiple_in_lattice(rows, v)
-                if dm is None:
-                    continue
-                d, coeffs = dm
                 h = IDENTITY
                 for p, cf in zip(piv, coeffs):
                     h = group.mul(h, group.pow(p, cf))

@@ -14,7 +14,7 @@ saturated relation lattices level by level.
 from . import intlinalg
 from .errors import ClassUnsupported, ParseError, RelatorNotKilled
 from .fields import QQ
-from .groupring import FreeGroup, GroupRing, parse_word, ring_mul
+from .groupring import FreeGroup, GroupRing, dot, parse_word
 from .pcgroup import PcGroup, Subgroup, isolator
 
 
@@ -152,10 +152,7 @@ class FreeChainComplex:
     def check_composite(self):
         """Every row of d2 times d1 equals its exact value `composite`."""
         for j, row in enumerate(self.d2):
-            total = self.ring.zero()
-            for entry, e1 in zip(row, self.d1):
-                total = total + ring_mul(entry, e1)
-            if not (total - self.composite(j)).is_zero():
+            if not (dot(row, self.d1) - self.composite(j)).is_zero():
                 raise AssertionError(f"d2 row {j} times d1 is not r_{j} - 1 (zero if projected)")
         return True
 
@@ -246,9 +243,10 @@ def quotient_by_normal(F, N):
     for lvl in range(F.nlevels):
         k = len(F.level_gens[lvl])
         rows = N.level_lattice(lvl)
-        D, _U, V = intlinalg.smith_normal_form(rows, len(rows), k) if rows else ([], [], intlinalg.identity(k))
+        D, _U, V = intlinalg.diagonal_form(rows, len(rows), k)
         factors = [D[i][i] for i in range(min(len(rows), k)) if D[i][i]]
-        # the lattice is saturated iff every nonzero invariant factor is 1
+        # the product of the factors is the index of the lattice in its
+        # saturation, so the lattice is saturated iff every factor is 1
         if any(d != 1 for d in factors):
             raise ClassUnsupported(
                 "quotient requires a non-induced central series (unsaturated level lattice)")

@@ -153,50 +153,52 @@ BAD_MCHAR = pathlib.Path(__file__).parent / "data" / "chi_z_zero_denominator.mch
 ZERO_MCHAR = pathlib.Path(__file__).parent / "data" / "chi_z_zero.mchar"
 TWICE_MCHAR = pathlib.Path(__file__).parent / "data" / "chi_z_twice.mchar"
 DUP_GENS = pathlib.Path(__file__).parent / "data" / "dup_gens.fpg"
+F2XF2 = pathlib.Path(__file__).parent / "data" / "f2xf2.fpg"
+CHI_F2XF2 = pathlib.Path(__file__).parent / "data" / "chi_f2xf2.mchar"
 
 
-@pytest.mark.parametrize("env_mmax,argv,message", [
-    ("abc", ["nov-invert", *Z, "1 - t"], "NILNOV_MMAX must be an integer, got 'abc'"),
-    (None, ["nov-invert", *Z, "1 - t", "--field", "F4"], "field 'F4': 4 is not prime"),
-    (None, ["nov-invert", *Z, "1 - t", "--frontier", "x"],
+@pytest.mark.parametrize("argv,message", [
+    (["nov-invert", *Z, "1 - t", "--field", "F4"], "field 'F4': 4 is not prime"),
+    (["nov-invert", *Z, "1 - t", "--frontier", "x"],
      "bad frontier 'x' (expected rationals like 8 or 3,4)"),
-    (None, ["nov-invert", *Z, "1 - t", "--frontier", "1/0"],
+    (["nov-invert", *Z, "1 - t", "--frontier", "1/0"],
      "bad frontier '1/0' (expected rationals like 8 or 3,4)"),
-    (None, ["nov-invert", *Z, "1 - t", "--mmax", "0"], "m_max must be >= 1"),
-    (None, [*BS12, "-d", "1", "--frontier=0"], "frontier entries must be positive"),
-    (None, ["theorem-f", str(DATA / "torus.fpg"), "--quotient", "self",
-            "--char", str(DATA / "chi_torus.mchar"), "--frontier=-1/2"],
+    (["nov-invert", *Z, "1 - t", "--mmax", "0"], "m_max must be >= 1"),
+    ([*BS12, "-d", "1", "--frontier=0"], "frontier entries must be positive"),
+    (["theorem-f", str(DATA / "torus.fpg"), "--quotient", "self",
+      "--char", str(DATA / "chi_torus.mchar"), "--frontier=-1/2"],
      "frontier entries must be positive"),
-    (None, ["nov-invert", "--group", str(DATA / "z.pcg"), "--char", str(BAD_MCHAR), "1 - t"],
+    (["nov-invert", "--group", str(DATA / "z.pcg"), "--char", str(BAD_MCHAR), "1 - t"],
      "line 1: zero denominator in '1/0'"),
-    (None, ["ring-mul", str(DATA / "heis.pcg"), "1/0*a", "a"], "zero denominator in '1/0'"),
-    (None, ["ring-mul", str(DATA / "heis.pcg"), "--field", "F5", "1/5*a", "a"],
+    (["ring-mul", str(DATA / "heis.pcg"), "1/0*a", "a"], "zero denominator in '1/0'"),
+    (["ring-mul", str(DATA / "heis.pcg"), "--field", "F5", "1/5*a", "a"],
      "1/5 has no value in F5: its denominator is divisible by 5"),
-    (None, ["ring-mul", str(DATA / "heis.pcg"), "1 + + a", "a"], "unexpected '+'"),
-    (None, ["fit-char", "--rank", "2", "0,x"],
+    (["ring-mul", str(DATA / "heis.pcg"), "1 + + a", "a"], "unexpected '+'"),
+    (["fit-char", "--rank", "2", "0,x"],
      "bad lattice point '0,x' (expected integers like 0,1)"),
-    (None, ["expand", *H3, "(0)^-1"], "cannot invert zero"),
-    (None, ["expand", *H3, "(1 - 1)^-1"], "cannot invert zero"),
-    (None, [*BS12, "-d", "3"], "degree 3 outside 0..2"),
-    (None, [*BS12, "-d", "-1"], "degree -1 outside 0..2"),
-    (None, ["nov-h", str(DATA / "bs12.fpg"), "--char", str(ZERO_MCHAR)],
+    (["expand", *H3, "(0)^-1"], "cannot invert zero"),
+    (["expand", *H3, "(1 - 1)^-1"], "cannot invert zero"),
+    ([*BS12, "-d", "3"], "degree 3 outside 0..2"),
+    ([*BS12, "-d", "-1"], "degree -1 outside 0..2"),
+    (["nov-h", str(DATA / "bs12.fpg"), "--char", str(ZERO_MCHAR)],
      "the zero multicharacter is not allowed"),
-    (None, ["fit-char", "--rank", "2", "0,1,2"], "chain entry of wrong rank"),
-    (None, ["fit-char", "--rank", "-1", ""], "lattice rank must be at least 1, got -1"),
-    (None, [*BS12, "--sign", "x"], "bad sign pattern 'x' (expected one + or - per level, 1 in all)"),
-    (None, ["betti", str(DUP_GENS)], "line 2: generator 'a' listed twice"),
-    (None, ["nov-invert", "--group", str(DATA / "z.pcg"), "--char", str(TWICE_MCHAR), "1 - t"],
+    (["fit-char", "--rank", "2", "0,1,2"], "chain entry of wrong rank"),
+    (["fit-char", "--rank", "-1", ""], "lattice rank must be at least 1, got -1"),
+    ([*BS12, "--sign", "x"], "bad sign pattern 'x' (expected one + or - per level, 1 in all)"),
+    (["betti", str(DUP_GENS)], "line 2: generator 'a' listed twice"),
+    (["nov-invert", "--group", str(DATA / "z.pcg"), "--char", str(TWICE_MCHAR), "1 - t"],
      "line 1: generator 't' assigned twice"),
-], ids=["env-mmax", "field", "frontier", "frontier-zero-denominator", "mmax",
+    (["theorem-f", str(F2XF2), "--quotient", "c1", "--char", str(CHI_F2XF2), "-d", "1"],
+     "degree 1 is not the top degree 2 of this complex"),
+], ids=["field", "frontier", "frontier-zero-denominator", "mmax",
         "nov-h-frontier-zero", "theorem-f-frontier-negative",
         "mchar-zero-denominator", "literal-zero-denominator", "literal-outside-field",
         "literal-doubled-operator", "fit-char-lattice-point", "expand-invert-zero",
         "expand-invert-zero-sum", "nov-h-degree-above", "nov-h-degree-below",
         "nov-h-zero-multicharacter", "fit-char-wrong-rank", "fit-char-rank-below-1",
-        "nov-h-sign-character", "fpg-duplicate-generator", "mchar-generator-assigned-twice"])
-def test_bad_input_is_an_error(capsys, monkeypatch, env_mmax, argv, message):
-    if env_mmax is not None:
-        monkeypatch.setenv("NILNOV_MMAX", env_mmax)
+        "nov-h-sign-character", "fpg-duplicate-generator", "mchar-generator-assigned-twice",
+        "theorem-f-degree-below-top"])
+def test_bad_input_is_an_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
@@ -220,11 +222,3 @@ class TestHeaders:
         assert "# frontier: 5" in lines
         assert "# field: Q" in lines
         assert any(line.startswith("# pattern:") for line in lines)
-
-    def test_env_mmax_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("NILNOV_MMAX", "17")
-        code, out, _ = run(capsys, "nov-invert",
-                           "--group", str(DATA / "z.pcg"),
-                           "--char", str(DATA / "chi_z.mchar"),
-                           "1 - t", "--frontier", "5")
-        assert "# m_max: 17" in out

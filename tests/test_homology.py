@@ -16,6 +16,7 @@ from nilnov.novikov import NovContext
 from nilnov.presentations import free_abelian_group
 
 DATA = pathlib.Path(__file__).parents[1] / "demos" / "data"
+TEST_DATA = pathlib.Path(__file__).parent / "data"
 
 
 def both_fields():
@@ -76,8 +77,9 @@ class TestNovCohomology:
         assert minus.exact and minus.frontier2 is None
         assert plus.verdicts[1] == INCONCLUSIVE
         assert "column" in plus.obstructions[1]
-        assert plus.stable  # inconclusive at both frontiers
-        assert not plus.exact and plus.frontier2 == (12,)
+        # an inconclusive verdict asserts nothing and is not re-run
+        assert plus.stable is None and plus.frontier2 is None
+        assert not plus.exact
         # H^0 vanishes on the stalled side too, but a stall rules out the proof
         plus0 = nov_cohomology(cx, chi, 0, Trunc([6], 32), signs=[1])
         assert plus0.verdicts[0] == VANISHES and plus0.stable
@@ -128,8 +130,10 @@ class TestNovCohomology:
         assert verdicts == {"++": VANISHES, "+-": INCONCLUSIVE,
                             "-+": INCONCLUSIVE, "--": INCONCLUSIVE}
         assert "row clearing failed its certificate" in reports[3].obstructions[2]
-        # two levels: no exact certificate, every pattern re-runs at 2F
-        assert all(not r.exact and r.frontier2 == (4, 4) for r in reports)
+        # two levels: no exact certificate, so the vanishing pattern re-runs
+        # at 2F; the inconclusive ones assert nothing and are not re-run
+        assert not reports[0].exact and reports[0].frontier2 == (4, 4)
+        assert all(r.stable is None and r.frontier2 is None for r in reports[1:])
         assert reports[0].alternating_sum() is not None
         assert euler_check(cx, reports)
 
@@ -271,6 +275,18 @@ class TestTheoremF:
         chi = MultiChar(Z, [[1]])
         with pytest.raises(DimensionMismatch):
             theorem_f(f2, q, chi, 2, Trunc([8], 32))  # no relators: top degree 1
+
+    def test_f2xf2_below_top_rejected_and_top_obstructed(self):
+        # the kernel [G,G] of F2 x F2 -> Z^4 contains <[a,b],[c,d]> = Z^2, so
+        # its cd is 2 = cd(G): H^1 vanishing must not certify a drop, and
+        # the top degree finds the obstruction
+        P = parse_presentation((TEST_DATA / "f2xf2.fpg").read_text())
+        q = nilpotent_quotient(P, 1)
+        chi = MultiChar(q.target, [[1, 0, 1, 0]])
+        with pytest.raises(DimensionMismatch):
+            theorem_f(P, q, chi, 1, Trunc([4], 64))
+        verdict = theorem_f(P, q, chi, 2, Trunc([4], 64))
+        assert verdict.conclusion == OBSTRUCTION
 
 
 class TestEuler:

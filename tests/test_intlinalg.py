@@ -1,14 +1,23 @@
 import random
+from math import gcd
 
-from nilnov.intlinalg import (hermite_row_form, identity, invert_unimodular,
-                              lattice_rank, mat_mul, member_of_lattice,
-                              minimal_multiple_in_lattice, saturate_rows,
-                              smith_normal_form, solve_in_lattice,
+from nilnov.fields import QQ, rank
+from nilnov.intlinalg import (diagonal_form, hermite_row_form, identity,
+                              invert_unimodular, minimal_multiple_in_lattice,
+                              saturate_rows, solve_in_lattice,
                               solve_mod_lattice)
 
 
 def rand_mat(rng, m, n, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def combination(coeffs, rows, n):
+    return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
 
 
 def test_hermite_properties():
@@ -27,20 +36,23 @@ def test_hermite_properties():
             last = piv
 
 
-def test_smith_properties():
+def test_diagonal_form_properties():
     rng = random.Random(2)
     for _ in range(150):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = rand_mat(rng, m, n)
-        D, U, V = smith_normal_form(A, m, n)
+        D, U, V = diagonal_form(A, m, n)
         assert mat_mul(mat_mul(U, A), V) == D
-        diag = [D[i][i] for i in range(min(m, n))]
-        nz = [d for d in diag if d]
-        assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
+        invert_unimodular(U)
+        invert_unimodular(V)
         for i in range(m):
             for j in range(n):
                 if i != j:
                     assert D[i][j] == 0
+        # positive entries first, as many as the rank
+        diag = [D[i][i] for i in range(min(m, n))]
+        r = rank(A, QQ)
+        assert all(d > 0 for d in diag[:r]) and not any(diag[r:])
 
 
 def test_unimodular_inverse():
@@ -65,8 +77,8 @@ def test_saturation_is_idempotent_and_contains():
         sat = saturate_rows(rows, n)
         assert saturate_rows(sat, n) == sat
         for r in rows:
-            assert member_of_lattice(sat, r)
-        assert lattice_rank(sat, n) == lattice_rank(rows, n)
+            assert solve_in_lattice(sat, r) is not None
+        assert len(sat) == rank(rows, QQ)
 
 
 def test_solvers():
@@ -75,11 +87,10 @@ def test_solvers():
         m, n = rng.randint(1, 3), rng.randint(1, 4)
         rows = rand_mat(rng, m, n, 4)
         coeffs = [rng.randint(-3, 3) for _ in range(m)]
-        target = [sum(c * rows[i][j] for i, c in enumerate(coeffs)) for j in range(n)]
+        target = combination(coeffs, rows, n)
         found = solve_in_lattice(rows, target)
         assert found is not None
-        rebuilt = [sum(c * rows[i][j] for i, c in enumerate(found)) for j in range(n)]
-        assert rebuilt == target
+        assert combination(found, rows, n) == target
 
     assert solve_in_lattice([[2, 0]], [1, 0]) is None
     d, c = minimal_multiple_in_lattice([[2, 0], [0, 2]], [1, 1])
@@ -89,5 +100,55 @@ def test_solvers():
     y = solve_mod_lattice(2, [1, 0], [[1, 2]], 2)
     assert y is not None
     shifted = [2 * y[0] + 1, 2 * y[1] + 0]
-    assert member_of_lattice([[1, 2]], shifted)
+    assert solve_in_lattice([[1, 2]], shifted) is not None
     assert solve_mod_lattice(2, [1], [], 1) is None
+
+
+def _check_minimal_multiple(rows, v, n):
+    """minimal_multiple_in_lattice against the least d found by trying
+    d = 1, 2, ... with solve_in_lattice."""
+    found = minimal_multiple_in_lattice(rows, v)
+    if found is None:
+        assert rank(rows + [v], QQ) > rank(rows, QQ)
+        return
+    d, coeffs = found
+    assert d >= 1 and combination(coeffs, rows, n) == [d * x for x in v]
+    for smaller in range(1, d):
+        assert solve_in_lattice(rows, [smaller * x for x in v]) is None
+
+
+def _saturated_vector(rng, rows, n):
+    """A primitive vector of the Q-span of `rows` (zero when they are)."""
+    v = combination([rng.randint(-3, 3) for _ in rows], rows, n)
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    return [x // g for x in v] if g else v
+
+
+def test_minimal_multiple_independent_rows():
+    rng = random.Random(6)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        H, _ = hermite_row_form(rand_mat(rng, rng.randint(1, n), n, 5), n)
+        if not H:
+            continue
+        v = _saturated_vector(rng, H, n) if rng.random() < 0.8 else rand_mat(rng, 1, n, 4)[0]
+        _check_minimal_multiple(H, v, n)
+
+
+def test_minimal_multiple_dependent_rows():
+    # more rows than the rank: a rational solution through one independent
+    # subset of the rows can need a larger d than the minimum
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        base = rand_mat(rng, rng.randint(1, n), n, 4)
+        rows = base + [combination([rng.randint(-2, 2) for _ in base], base, n)
+                       for _ in range(rng.randint(1, 2))]
+        rng.shuffle(rows)
+        v = _saturated_vector(rng, rows, n) if rng.random() < 0.8 else rand_mat(rng, 1, n, 4)[0]
+        _check_minimal_multiple(rows, v, n)
+    # (2,0) and (3,0) span Z*(1,0), though neither row alone reaches (1,0)
+    d, coeffs = minimal_multiple_in_lattice([[2, 0], [3, 0]], [1, 0])
+    assert d == 1 and combination(coeffs, [[2, 0], [3, 0]], 2) == [1, 0]

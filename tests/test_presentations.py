@@ -1,10 +1,27 @@
+import random
+
 import pytest
 
-from nilnov import (GF, GroupRing, QQ, QuotientMap, fox_complex,
+from nilnov import (GF, FreeGroup, GroupRing, QQ, QuotientMap, fox_complex,
                     nilpotent_quotient, parse_presentation, ring_mul)
 from nilnov.errors import (ClassUnsupported, ParseError, RelatorNotKilled,
                            UnknownGenerator)
-from nilnov.presentations import fox_derivative, free_class2_group
+from nilnov.fields import rank
+from nilnov.presentations import Presentation, fox_derivative, free_class2_group
+
+
+def random_presentations(rng, count):
+    """Seeded presentations on 2 or 3 generators with 1 to 3 relators."""
+    out = []
+    while len(out) < count:
+        gens = ["a", "b", "c"][:rng.randint(2, 3)]
+        words = [FreeGroup(gens).collect((rng.randrange(len(gens)), rng.choice((-2, -1, 1, 2)))
+                                         for _ in range(rng.randint(2, 6)))
+                 for _ in range(rng.randint(1, 3))]
+        relators = [w for w in words if w]  # drop words trivial after free reduction
+        if relators:
+            out.append(Presentation(f"random{len(out)}", gens, relators))
+    return out
 
 
 class TestParse:
@@ -138,13 +155,21 @@ class TestNilpotentQuotient:
         assert q.target.nlevels == 1
 
     def test_abelianization_rank_oracle(self, torus, bs12, f2, mapping_torus):
-        # rank of G^ab tensor Q from the relator exponent matrix
-        from nilnov import intlinalg
+        # rank of G^ab tensor Q from the relator exponent matrix, over Q
+        def free_rank(P):
+            rows = []
+            for r in P.relators:
+                sums = [0] * len(P.gen_names)
+                for g, e in r:
+                    sums[g] += e
+                rows.append(sums)
+            return len(P.gen_names) - rank(rows, QQ)
+
         for P, expected in ((torus, 2), (bs12, 1), (f2, 2), (mapping_torus, 1)):
-            q = nilpotent_quotient(P, 1)
-            rows = [P.free_group.exponent_sums(r) for r in P.relators]
-            rank = intlinalg.lattice_rank(rows, len(P.gen_names)) if rows else 0
-            assert len(q.target.gen_names) == len(P.gen_names) - rank == expected
+            assert len(nilpotent_quotient(P, 1).target.gen_names) == free_rank(P) == expected
+        rng = random.Random(12)
+        for P in random_presentations(rng, 40):
+            assert len(nilpotent_quotient(P, 1).target.gen_names) == free_rank(P)
 
     def test_relators_die_in_quotient(self, torus, bs12, mapping_torus):
         for P in (torus, bs12, mapping_torus):
