@@ -134,13 +134,6 @@ class LexOrder:
             raise MismatchedGroup("compare expects normal forms")
         return self.sign_of(self.group.mul(self.group.inv(h), g))
 
-    def reversed_levels(self, signs):
-        """Reverse the order on the levels whose sign entry is -1."""
-        order = LexOrder(self.group)
-        order.rows = [[[s * v for v in row] for row in self.rows[i]]
-                      for i, s in enumerate(signs)]
-        return order
-
 
 # -- feasibility of strict linear inequalities ---------------------------
 

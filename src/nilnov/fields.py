@@ -19,7 +19,6 @@ def _canonical(q):
 
 class Rationals:
     name = "Q"
-    characteristic = 0
 
     def coerce(self, x):
         return x if type(x) is int else _canonical(Fraction(x))
@@ -65,14 +64,11 @@ class Rationals:
 
 
 class PrimeField:
-    characteristic = None
-
     def __init__(self, p):
         if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
-        self.characteristic = p
 
     def coerce(self, x):
         if isinstance(x, Fraction):

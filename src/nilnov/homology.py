@@ -83,7 +83,6 @@ class RankReport:
         self.pattern = None
         self.degree = None          # the degree that `stable` and `exact` speak of
         self.frontier = None
-        self.frontier2 = None       # the doubled frontier of the re-run, if any
         self.stable = None          # None when there was no re-run
         self.exact = False          # vanishing at `degree` proved over the Novikov ring
         self.witnesses = {}         # degree -> formatted witness cocycle
@@ -410,7 +409,7 @@ def nov_cohomology(cx, chi, degree, trunc, signs=None):
     `signs` flips multicharacter components (the +-chi sweep).  A vanishing
     verdict at `degree` whose elimination passes the exact certificate is
     marked exact and stable.  An inconclusive verdict asserts nothing, so
-    it is not re-run and `stable` and `frontier2` stay None.  Every other
+    it is not re-run and `stable` stays None.  Every other
     verdict at `degree` is re-computed at a doubled frontier and the
     stability flag records whether it survived.
     """
@@ -428,9 +427,7 @@ def nov_cohomology(cx, chi, degree, trunc, signs=None):
         return report
     if report.verdicts[degree] == INCONCLUSIVE:
         return report
-    t2 = trunc.doubled()
-    _, report2 = _run_elimination(cx, work_chi, t2)
-    report.frontier2 = t2.frontier
+    _, report2 = _run_elimination(cx, work_chi, trunc.doubled())
     report.stable = report2.verdicts[degree] == report.verdicts[degree]
     return report
 

@@ -73,9 +73,11 @@ def diagonal_form(mat, nrows=None, ncols=None):
 
     - `saturate_rows` needs only the rank and the rows of V^-1, whose first
       rank rows span the saturation;
-    - `quotient_by_normal` needs only "every nonzero D_ii is 1", which
-      holds exactly when the lattice is saturated: the product of the
-      D_ii is the index of the lattice in its saturation;
+    - `quotient_by_normal` needs "every nonzero D_ii is 1", which holds
+      exactly when the lattice is saturated (the product of the D_ii is
+      the index of the lattice in its saturation), then reads the
+      quotient coordinates off the columns of V past the rank and their
+      lifts off the rows of V^-1 past the rank;
     - `minimal_multiple_in_lattice` reads d and its coefficients off D
       entry by entry.
     """

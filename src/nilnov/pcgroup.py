@@ -483,6 +483,9 @@ def isolator(group, sub):
     Saturates each level lattice and certifies every candidate root g by an
     exact membership check of g^d before accepting it; root corrections at
     deeper levels are solved linearly (exact for class <= 2 presentations).
+    The level lattices of the result need not be saturated: x^d may be the
+    product of an element of sub and a deeper element of infinite order
+    modulo sub, and then x times any deeper element stays outside it.
     """
     I = sub.copy()
     I.close()

@@ -201,7 +201,7 @@ def test_criterion_07_torus_novikov_vanishing(torus):
         rep = nov_cohomology(cx, chi, 2, Trunc([8], 48))
         assert all(rep.verdicts[d] == VANISHES for d in (0, 1, 2))
         assert rep.stable and rep.frontier == (8,)
-        assert rep.exact and rep.frontier2 is None
+        assert rep.exact
     report(7, "Z^2 Novikov cohomology vanishes in degrees 0-2, proved exactly", t0, 10.0)
 
 
@@ -231,7 +231,7 @@ def test_criterion_09_bs12_asymmetry(bs12):
     plus = nov_cohomology(cx, chi, 1, Trunc([6], 32), signs=[1])
     assert minus.verdicts[1] == VANISHES and minus.stable
     assert plus.verdicts[1] == INCONCLUSIVE
-    assert plus.stable is None and plus.frontier2 is None  # not re-run
+    assert plus.stable is None  # not re-run
     assert "column" in plus.obstructions[1]
     assert plus.verdicts[1] != minus.verdicts[1]
     print("criterion  9 NOTE: one-sided detection reported as "
@@ -258,7 +258,7 @@ def test_criterion_10_euler_consistency(torus, bs12, f2, mapping_torus):
 def test_criterion_11_fox_identity(torus, bs12, f2, mapping_torus):
     t0 = time.time()
     for P in (torus, bs12, f2, mapping_torus):
-        ring = P.free_ring(QQ)
+        ring = GroupRing(P.free_group, QQ)
         fg = P.free_group
         for r in P.relators:
             total = ring.zero()

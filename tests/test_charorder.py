@@ -170,5 +170,5 @@ class TestCompatibility:
         order = LexOrder(zgroup)
         # chi(t) < 0 reverses the order on {1, t}: incompatible with ord
         assert not is_compatible(MultiChar(zgroup, [[-1]]), frac, order)
-        # but compatible with the reversed order
-        assert is_compatible(MultiChar(zgroup, [[-1]]), frac, order.reversed_levels([-1]))
+        # but compatible with the reversed order, whose primary row is -1
+        assert is_compatible(MultiChar(zgroup, [[-1]]), frac, LexOrder(zgroup, {0: [[-1]]}))

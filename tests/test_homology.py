@@ -23,6 +23,15 @@ def both_fields():
     return (QQ, GF(2))
 
 
+def count_eliminations(monkeypatch):
+    """List that collects the frontier of every elimination nov_cohomology runs."""
+    runs = []
+    monkeypatch.setattr("nilnov.homology._run_elimination",
+                        lambda cx, chi, trunc: runs.append(trunc.frontier)
+                        or _run_elimination(cx, chi, trunc))
+    return runs
+
+
 class TestBetti:
     def test_torus(self, torus):
         for field in both_fields():
@@ -67,23 +76,26 @@ class TestNovCohomology:
         rep = nov_cohomology(cx, chi, 2, Trunc([8], 48))
         assert all(rep.verdicts[d] == VANISHES for d in (0, 1, 2))
 
-    def test_bs12_one_sided(self, bs12):
+    def test_bs12_one_sided(self, bs12, monkeypatch):
         q = nilpotent_quotient(bs12, 1)
         cx = fox_complex(bs12, q, QQ, project=False)
         chi = MultiChar(q.target, [[1]])
+        runs = count_eliminations(monkeypatch)
         plus = nov_cohomology(cx, chi, 1, Trunc([6], 32), signs=[1])
         minus = nov_cohomology(cx, chi, 1, Trunc([6], 32), signs=[-1])
         assert minus.verdicts[1] == VANISHES and minus.stable
-        assert minus.exact and minus.frontier2 is None
+        assert minus.exact
         assert plus.verdicts[1] == INCONCLUSIVE
         assert "column" in plus.obstructions[1]
         # an inconclusive verdict asserts nothing and is not re-run
-        assert plus.stable is None and plus.frontier2 is None
+        assert plus.stable is None and runs == [(6,), (6,)]
         assert not plus.exact
-        # H^0 vanishes on the stalled side too, but a stall rules out the proof
+        # H^0 vanishes on the stalled side too, but a stall rules out the proof,
+        # so the vanishing verdict is re-run at the doubled frontier
+        runs.clear()
         plus0 = nov_cohomology(cx, chi, 0, Trunc([6], 32), signs=[1])
         assert plus0.verdicts[0] == VANISHES and plus0.stable
-        assert not plus0.exact and plus0.frontier2 == (12,)
+        assert not plus0.exact and runs == [(6,), (12,)]
 
     def test_zero_multicharacter_rejected(self, torus):
         q = nilpotent_quotient(torus, 1)
@@ -132,8 +144,8 @@ class TestNovCohomology:
         assert "row clearing failed its certificate" in reports[3].obstructions[2]
         # two levels: no exact certificate, so the vanishing pattern re-runs
         # at 2F; the inconclusive ones assert nothing and are not re-run
-        assert not reports[0].exact and reports[0].frontier2 == (4, 4)
-        assert all(r.stable is None and r.frontier2 is None for r in reports[1:])
+        assert not reports[0].exact and reports[0].stable is not None
+        assert all(r.stable is None for r in reports[1:])
         assert reports[0].alternating_sum() is not None
         assert euler_check(cx, reports)
 
@@ -224,16 +236,19 @@ class TestExactCertificate:
         ("mapping_torus", [[1]], 2, ([1], [-1])),
         ("bs12", [[1]], 1, ([-1],)),
     ])
-    def test_exact_implies_stable(self, request, name, chi, degree, patterns):
-        # an exact report needs no re-run, and the re-run agrees with it
+    def test_exact_implies_stable(self, request, monkeypatch, name, chi, degree, patterns):
+        # an exact report skips the re-run at the doubled frontier, and that
+        # re-run would agree with it
         P = request.getfixturevalue(name)
         q = nilpotent_quotient(P, 1)
         cx = fox_complex(P, q, QQ, project=False)
         mchar = MultiChar(q.target, chi)
+        runs = count_eliminations(monkeypatch)
         for f in (4, 5, 6):
             for signs in patterns:
+                runs.clear()
                 rep = nov_cohomology(cx, mchar, degree, Trunc([f], 32), signs=signs)
-                assert rep.exact and rep.stable and rep.frontier2 is None
+                assert rep.exact and rep.stable and runs == [(f,)]
                 _, doubled = _run_elimination(cx, mchar.with_signs(signs), Trunc([2 * f], 64))
                 assert doubled.verdicts == rep.verdicts, (name, f, signs)
 
@@ -260,7 +275,7 @@ class TestTheoremF:
         verdict = theorem_f(f2, q, chi, 1, Trunc([8], 48))
         assert verdict.conclusion == OBSTRUCTION
         assert all(r.verdicts[1] == WITNESS for r in verdict.reports)
-        assert all(not r.exact and r.frontier2 == (16,) for r in verdict.reports)
+        assert all(not r.exact and r.stable is not None for r in verdict.reports)
         assert all(1 in r.witnesses for r in verdict.reports)
 
     def test_sweep_covers_all_patterns(self, f2):

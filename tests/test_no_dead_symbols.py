@@ -1,12 +1,13 @@
-"""No dead symbols: every public module-level function or class of the package
-is used.
+"""No dead symbols: every public module-level function or class of the package,
+and every public method of its public classes, is used.
 
 A public symbol of `src/nilnov/<m>.py` is used when it is called or otherwise
 referenced in its own module, when another module of the package imports it
 (`from .m import name`) or reads it as `m.name`, or when it is listed in
-`nilnov.__all__`.  Symbols that only tests call belong in the tests.  The
-check reads the source with `ast`, so names inside strings and comments do
-not count.
+`nilnov.__all__`.  A public method (not a dunder) is used when an attribute
+of that name is referenced anywhere in the package.  Symbols that only tests
+call belong in the tests.  The check reads the source with `ast`, so names
+inside strings and comments do not count.
 """
 
 import ast
@@ -69,4 +70,17 @@ def test_every_public_symbol_is_used():
             if not (_referenced_in_module(tree, node.name)
                     or (module, node.name) in imported
                     or node.name in exported)]
+    assert dead == []
+
+
+def test_every_public_method_is_used():
+    modules = _modules()
+    attributes = {node.attr for tree in modules.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    dead = [f"{module}.{cls.name}.{node.name}"
+            for module, tree in modules.items()
+            for cls in _public_definitions(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name not in attributes]
     assert dead == []

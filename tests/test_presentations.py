@@ -10,18 +10,30 @@ from nilnov.fields import rank
 from nilnov.presentations import Presentation, fox_derivative, free_class2_group
 
 
-def random_presentations(rng, count):
-    """Seeded presentations on 2 or 3 generators with 1 to 3 relators."""
+def random_presentations(rng, count, max_exp=2):
+    """Seeded presentations on 2 or 3 generators with 1 to 3 relators whose
+    syllable exponents lie in [-max_exp, max_exp]."""
+    exponents = [e for e in range(-max_exp, max_exp + 1) if e]
     out = []
     while len(out) < count:
         gens = ["a", "b", "c"][:rng.randint(2, 3)]
-        words = [FreeGroup(gens).collect((rng.randrange(len(gens)), rng.choice((-2, -1, 1, 2)))
+        words = [FreeGroup(gens).collect((rng.randrange(len(gens)), rng.choice(exponents))
                                          for _ in range(rng.randint(2, 6)))
                  for _ in range(rng.randint(1, 3))]
         relators = [w for w in words if w]  # drop words trivial after free reduction
         if relators:
             out.append(Presentation(f"random{len(out)}", gens, relators))
     return out
+
+
+def evaluate(q, word):
+    """Image of a free word, multiplied out letter by letter with Q.mul and
+    Q.pow from the generator images, without QuotientMap.apply_word."""
+    Q = q.target
+    x = ()
+    for g, e in word:
+        x = Q.mul(x, Q.pow(q.images[g], e))
+    return x
 
 
 class TestParse:
@@ -77,7 +89,7 @@ class TestFox:
 
     def test_fox_fundamental_identity(self, torus, bs12, mapping_torus):
         for P in (torus, bs12, mapping_torus):
-            ring = P.free_ring(QQ)
+            ring = GroupRing(P.free_group, QQ)
             fg = P.free_group
             for r in P.relators:
                 total = ring.zero()
@@ -172,8 +184,28 @@ class TestNilpotentQuotient:
             assert len(nilpotent_quotient(P, 1).target.gen_names) == free_rank(P)
 
     def test_relators_die_in_quotient(self, torus, bs12, mapping_torus):
-        for P in (torus, bs12, mapping_torus):
+        # in class 2 the image of a in c^3 b^-3 c^-1 a^2 is q0_0^-3 c^-4
+        # q1_0^-24: mapping a^2 needs the tail that (q0_0^-3 c^-4)^2 picks
+        # up, not the doubled exponents
+        tail_needed = parse_presentation("gens a b c\nrel c^3 b^-3 c^-1 a^2\n")
+        randoms = random_presentations(random.Random(13), 60, max_exp=3)
+        for P in [torus, bs12, mapping_torus, tail_needed] + randoms:
             for c in (1, 2):
                 q = nilpotent_quotient(P, c)
                 for r in P.relators:
                     assert q.apply_word(r) == ()
+                    assert evaluate(q, r) == ()
+
+    def test_apply_word_is_a_homomorphism(self, f2, heis):
+        # a -> a b has two syllables, so a^e maps to (a b)^e, tails included
+        H = heis
+        maps = [QuotientMap(f2, H, [H.collect(H.parse_word("a b")), H.generator(1)]),
+                nilpotent_quotient(parse_presentation("gens a b c\nrel c^3 b^-3 c^-1 a^2\n"), 2)]
+        rng = random.Random(14)
+        for q in maps:
+            fg, Q = q.source.free_group, q.target
+            for _ in range(50):
+                u, v = (fg.collect((rng.randrange(fg.ngens), rng.choice((-3, -2, -1, 1, 2, 3)))
+                                   for _ in range(rng.randint(0, 6))) for _ in range(2))
+                assert q.apply_word(u) == evaluate(q, u)
+                assert q.apply_word(fg.mul(u, v)) == Q.mul(q.apply_word(u), q.apply_word(v))
