@@ -8,14 +8,13 @@ drops of conilpotent kernels.
 
 __version__ = "0.1.0"
 
-from .charorder import (Char, LexOrder, MultiChar, fit_character,
-                        fit_multicharacter, format_mchar, is_compatible,
-                        parse_mchar)
+from .charorder import (LexOrder, MultiChar, fit_character, fit_multicharacter,
+                        format_mchar, is_compatible, parse_mchar)
 from .fields import GF, QQ
 from .groupring import FreeGroup, GroupRing, RingElt, augment, ring_mul
 from .homology import (CriterionVerdict, RankReport, betti, euler_check,
                        nov_cohomology, theorem_f)
-from .iterfrac import Leaf, Node, frac_from_ring_elt, frac_invert
+from .iterfrac import Node, frac_from_ring_elt, frac_invert
 from .novikov import (NovContext, NovSeries, Trunc, expand, format_series,
                       nov_invert, nov_mul, series_from_elt)
 from .pcgroup import (PcGroup, Subgroup, free_abelianization_refine,
@@ -25,13 +24,13 @@ from .presentations import (FreeChainComplex, Presentation, QuotientMap,
                             parse_presentation)
 
 __all__ = [
-    "Char", "LexOrder", "MultiChar", "fit_character",
+    "LexOrder", "MultiChar", "fit_character",
     "fit_multicharacter", "is_compatible", "format_mchar", "parse_mchar",
     "GF", "QQ",
     "FreeGroup", "GroupRing", "RingElt", "augment", "ring_mul",
     "CriterionVerdict", "RankReport", "betti", "euler_check",
     "nov_cohomology", "theorem_f",
-    "Leaf", "Node",
+    "Node",
     "NovContext", "NovSeries", "Trunc", "expand", "format_series",
     "frac_from_ring_elt", "frac_invert", "nov_invert", "nov_mul",
     "series_from_elt",

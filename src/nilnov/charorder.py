@@ -15,53 +15,30 @@ from math import gcd
 
 from . import iterfrac
 from .errors import Infeasible, MismatchedGroup, ParseError, UnknownGenerator
-from .fields import QQ, parse_rational, rank
+from .fields import QQ, parse_rational
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-class Char:
-    """One level's character: rational value per level generator.
-
-    Values are kept in the canonical form of `fields.Rationals`: an int when
-    integral, else a reduced Fraction.  Integral characters then give int
-    degrees, and an int prints like the equal Fraction.
-    """
-
-    def __init__(self, level, values):
-        self.level = level
-        self.values = [QQ.coerce(v) for v in values]
-
-    def __call__(self, vec):
-        return sum(c * x for c, x in zip(self.values, vec))
-
-    def is_zero(self):
-        return all(v == 0 for v in self.values)
-
-    def __repr__(self):
-        return f"Char(level={self.level}, {self.values})"
-
-
 class MultiChar:
-    """One character per level of a PcGroup's stored central series."""
+    """One character per level of a PcGroup's stored central series.
+
+    `components[i]` is the list of chi_i's values on the level-i generators,
+    kept in the canonical form of `fields.Rationals`: an int when integral,
+    else a reduced Fraction.  Integral characters then give int degrees, and
+    an int prints like the equal Fraction.
+    """
 
     def __init__(self, group, components):
         if len(components) != group.nlevels:
             raise MismatchedGroup("component count must equal the series length")
         self.group = group
-        self.components = []
-        for i, comp in enumerate(components):
-            if isinstance(comp, Char):
-                if comp.level != i:
-                    raise MismatchedGroup("component level does not match its position")
-                values = comp.values
-            else:
-                values = list(comp)
+        self.components = [[QQ.coerce(v) for v in comp] for comp in components]
+        for i, values in enumerate(self.components):
             if len(values) != len(group.level_gens[i]):
                 raise MismatchedGroup(f"level {i} expects {len(group.level_gens[i])} values")
-            self.components.append(Char(i, values))
         # (level, value) per generator index; generators are numbered level by level
-        self._weights = [(i, v) for i, comp in enumerate(self.components) for v in comp.values]
+        self._weights = [(i, v) for i, comp in enumerate(self.components) for v in comp]
 
     def deg(self, elt):
         """Degree tuple of a normal form: chi_i applied per level syllable."""
@@ -74,17 +51,17 @@ class MultiChar:
 
     def with_signs(self, signs):
         """Componentwise sign flip; signs is a list of +1/-1 per level."""
-        comps = [[s * v for v in comp.values]
+        comps = [[s * v for v in comp]
                  for s, comp in zip(signs, self.components)]
         return MultiChar(self.group, comps)
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.components)
+        return all(v == 0 for comp in self.components for v in comp)
 
     def __repr__(self):
         vals = "; ".join(
-            " ".join(f"{g}={v}" for g, v in zip(self.group.level_gens[i], c.values))
-            for i, c in enumerate(self.components))
+            " ".join(f"{g}={v}" for g, v in zip(self.group.level_gens[i], comp))
+            for i, comp in enumerate(self.components))
         return f"MultiChar({vals})"
 
 
@@ -95,7 +72,7 @@ class LexOrder:
         """primary_rows: dict mapping a level to a list of rational rows.
 
         Standard basis rows are appended at each level, so the row stack
-        always spans and the order is total; spanning is certified here.
+        always spans and the order is total.
         """
         self.group = group
         primary_rows = primary_rows or {}
@@ -109,8 +86,6 @@ class LexOrder:
             for j in range(k):
                 rows.append([Fraction(1 if t == j else 0) for t in range(k)])
             self.rows.append(rows)
-            if rank(rows, QQ) != k:
-                raise AssertionError("order rows fail to span")  # unreachable with tiebreaks
 
     def vector_key(self, level, vec):
         return tuple(sum((c * x for c, x in zip(row, vec)), Fraction(0))
@@ -291,7 +266,7 @@ def failing_node(chi, frac, order=None):
     for node in iterfrac.nodes(frac):
         vecs = iterfrac.support_vectors(node, chi.group)
         comp = chi.components[node.level]
-        values = [comp(v) for v in vecs]
+        values = [sum(c * x for c, x in zip(comp, v)) for v in vecs]
         if order is not None:
             keyed = sorted(zip(vecs, values),
                            key=lambda pair: order.vector_key(node.level, pair[0]))
@@ -351,6 +326,6 @@ def parse_mchar(text, group):
 def format_mchar(chi):
     lines = []
     for i, comp in enumerate(chi.components):
-        assigns = " ".join(f"{g}={v}" for g, v in zip(chi.group.level_gens[i], comp.values))
+        assigns = " ".join(f"{g}={v}" for g, v in zip(chi.group.level_gens[i], comp))
         lines.append(f"char {i}: {assigns}")
     return "\n".join(lines) + "\n"

@@ -88,7 +88,7 @@ def _order(args):
     primary = {}
     if args.char:
         chi = parse_mchar(_read(args.char), G)
-        primary = {i: [list(c.values)] for i, c in enumerate(chi.components)}
+        primary = {i: [comp] for i, comp in enumerate(chi.components)}
     order = LexOrder(G, primary)
     sign = order.compare(G.collect(G.parse_word(args.left)),
                          G.collect(G.parse_word(args.right)))
@@ -212,14 +212,16 @@ def _nov_h(args):
     n = qmap.target.nlevels
     chi = parse_mchar(_read(args.char), qmap.target)
     trunc = _trunc(args, n)
+    # argparse drops an argument equal to '--', so --sign=-- arrives as []
+    sign = "--" if args.sign == [] else args.sign
     if args.sweep:
         patterns = sign_patterns(n)
-    elif args.sign is None:
+    elif sign is None:
         patterns = [[1] * n]
-    elif set(args.sign) <= {"+", "-"} and len(args.sign) == n:
-        patterns = [[1 if ch == "+" else -1 for ch in args.sign]]
+    elif set(sign) <= {"+", "-"} and len(sign) == n:
+        patterns = [[1 if ch == "+" else -1 for ch in sign]]
     else:
-        raise ParseError(f"bad sign pattern {args.sign!r} "
+        raise ParseError(f"bad sign pattern {sign!r} "
                          f"(expected one + or - per level, {n} in all)")
     cx = fox_complex(P, qmap, args.field, project=(args.entries == "projected"))
     fr = str(trunc)
@@ -354,7 +356,8 @@ def _parser():
     p.add_argument("presentation")
     p.add_argument("--quotient", default="c1")
     signs = p.add_mutually_exclusive_group()
-    signs.add_argument("--sign", help="sign pattern like '+-' (one per level)")
+    signs.add_argument("--sign", help="sign pattern, one + or - per level, as in --sign=+- "
+                       "(the = form also takes patterns that start with -)")
     signs.add_argument("--sweep", action="store_true", help="all 2^n sign patterns")
     p.add_argument("--entries", default="free", choices=["free", "projected"])
     p.set_defaults(run=_nov_h)

@@ -10,16 +10,13 @@ syntax with no canonical form here.
 
 from .errors import UnsupportedFraction
 from .groupring import RingElt, RingOps, read_expr, ring_mul
-from .iterfrac import (Leaf, Node, frac_invert, level_entries, scalar_leaf,
-                       split_at_level)
+from .iterfrac import Node, frac_invert, level_entries, split_at_level
 
 
 def parse_fraction_expr(text, ring):
-    """Parse an expression into an iterated fraction (or Leaf) over `ring`."""
-    value = read_expr(text, FractionOps(ring))
-    if isinstance(value, RingElt):
-        return Leaf(value)
-    return value
+    """Parse an expression into an iterated fraction over `ring`: a Node,
+    or the finite element itself when no fraction is needed."""
+    return read_expr(text, FractionOps(ring))
 
 
 class FractionOps(RingOps):
@@ -43,20 +40,14 @@ class FractionOps(RingOps):
 
 # -- fraction algebra ------------------------------------------------------
 
-def _unleaf(value):
-    return value.elem if isinstance(value, Leaf) else value
-
-
 def _map_leaves(frac, f):
     """frac with f applied to every numerator leaf; denominators are kept."""
-    if frac.is_leaf():
-        return Leaf(f(frac.elem))
+    if isinstance(frac, RingElt):
+        return f(frac)
     return Node([(_map_leaves(cf, f), g) for cf, g in frac.alpha], frac.beta, frac.level)
 
 
 def _scale(value, coeff):
-    if isinstance(value, RingElt):
-        return value.scaled(coeff)
     return _map_leaves(value, lambda x: x.scaled(coeff))
 
 
@@ -86,9 +77,8 @@ def _conj_frac(frac, g, ring):
     def conj_elt(h):
         return group.mul(g, group.mul(h, ginv))
 
-    if frac.is_leaf():
-        return Leaf(ring.from_terms(
-            (conj_elt(h), cf) for h, cf in frac.elem.terms.items()))
+    if isinstance(frac, RingElt):
+        return ring.from_terms((conj_elt(h), cf) for h, cf in frac.terms.items())
 
     def conj_entries(entries):
         out = []
@@ -108,7 +98,7 @@ def _beta_trivial(frac, ring):
     if len(frac.beta) != 1:
         return False
     coeff, g = frac.beta[0]
-    return not g and coeff.is_leaf() and coeff.elem.terms == {(): ring.field.one}
+    return not g and isinstance(coeff, RingElt) and coeff.terms == {(): ring.field.one}
 
 
 def _frac_level(value, ring):
@@ -132,16 +122,14 @@ def _entries_of(value, level, ring):
 
 
 def _add(x, y, ring):
-    x, y = _unleaf(x), _unleaf(y)
     if isinstance(x, RingElt) and isinstance(y, RingElt):
         return x + y
     level = min(_frac_level(x, ring), _frac_level(y, ring))
     entries = _entries_of(x, level, ring) + _entries_of(y, level, ring)
-    return Node(entries, [(scalar_leaf(ring, 1), ())], level)
+    return Node(entries, [(ring.one(), ())], level)
 
 
 def _mul(x, y, ring):
-    x, y = _unleaf(x), _unleaf(y)
     if isinstance(x, RingElt) and isinstance(y, RingElt):
         return ring_mul(x, y)
     if isinstance(x, RingElt) and x.is_scalar():
@@ -164,21 +152,15 @@ def _mul(x, y, ring):
         return result
     # fraction * fraction: supported when the right factor is strictly deeper
     if y.level > x.level and _beta_trivial(x, ring):
-        entries = []
-        for cf, g in x.alpha:
-            prod = _mul(cf, y, ring)
-            if isinstance(prod, RingElt):
-                prod = Leaf(prod)
-            entries.append((prod, g))
-        return Node(entries, x.beta, x.level)
+        return Node([(_mul(cf, y, ring), g) for cf, g in x.alpha], x.beta, x.level)
     raise UnsupportedFraction("product of two same-level fractions")
 
 
 def _frac_times_word(frac, g, ring):
     """frac * u_g, folding g into group parts (splitting levels as needed)."""
     group = ring.group
-    if frac.is_leaf():
-        return Leaf(ring_mul(frac.elem, ring.monomial(ring.field.one, g)))
+    if isinstance(frac, RingElt):
+        return ring_mul(frac, ring.monomial(ring.field.one, g))
     if not g:
         return frac
     glevel = group.leading_level(g)
@@ -187,7 +169,7 @@ def _frac_times_word(frac, g, ring):
     if glevel < frac.level:
         prefix, suffix = split_at_level(group, g, glevel)
         inner = _frac_times_word(frac, suffix, ring) if suffix else frac
-        return Node([(inner, prefix)], [(scalar_leaf(ring, 1), ())], glevel)
+        return Node([(inner, prefix)], [(ring.one(), ())], glevel)
     if not _beta_trivial(frac, ring):
         raise UnsupportedFraction("right multiplication into a nontrivial denominator")
     entries = []

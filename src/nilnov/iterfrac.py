@@ -1,26 +1,14 @@
 """Iterated fractions: recursive numerator/denominator trees.
 
-A Leaf holds a finite group-ring element and expands to itself.  A Node at
-level i holds numerator and denominator lists of (coefficient, group part)
-pairs, where group parts are normal forms supported at level i and each
-coefficient is an iterated fraction whose levels are strictly deeper.
+A leaf is a finite group-ring element (a RingElt) and expands to itself.
+A Node at level i holds numerator and denominator lists of (coefficient,
+group part) pairs, where group parts are normal forms supported at level i
+and each coefficient is an iterated fraction whose levels are strictly
+deeper.
 """
 
 from .errors import ZeroInverse
 from .groupring import RingElt
-
-
-class Leaf:
-    __slots__ = ("elem",)
-
-    def __init__(self, elem):
-        self.elem = elem
-
-    def is_leaf(self):
-        return True
-
-    def __repr__(self):
-        return f"Leaf({self.elem})"
 
 
 class Node:
@@ -33,16 +21,13 @@ class Node:
         self.beta = list(beta)
         self.level = level
 
-    def is_leaf(self):
-        return False
-
     def __repr__(self):
         return f"Node(level={self.level}, |alpha|={len(self.alpha)}, |beta|={len(self.beta)})"
 
 
 def nodes(frac):
     """Iterate all Node instances of a fraction tree, depth-first."""
-    if frac.is_leaf():
+    if isinstance(frac, RingElt):
         return
     yield frac
     for coeff, _ in list(frac.alpha) + list(frac.beta):
@@ -68,10 +53,6 @@ def split_at_level(group, g, level):
     return prefix, suffix
 
 
-def scalar_leaf(ring, value):
-    return Leaf(ring.monomial(value, ()))
-
-
 def level_entries(x, level):
     """Node entries [(coefficient, prefix)] of a finite element none of whose
     terms is shallower than `level`: terms grouped by their level-`level`
@@ -89,23 +70,21 @@ def frac_from_ring_elt(x):
     """Canonical nested tree of a finite element: one node per level,
     deeper parts becoming coefficient fractions, scalars becoming leaves."""
     if x.is_scalar():
-        return Leaf(x)
+        return x
     level = min(x.ring.group.leading_level(g) for g in x.terms)
-    return Node(level_entries(x, level), [(scalar_leaf(x.ring, x.ring.field.one), ())], level)
+    return Node(level_entries(x, level), [(x.ring.one(), ())], level)
 
 
 def frac_invert(frac):
     """Invert a fraction or finite element; swaps numerator and denominator."""
     if isinstance(frac, RingElt):
-        frac = Leaf(frac)
-    if frac.is_leaf():
-        x = frac.elem
-        if x.is_zero():
+        ring = frac.ring
+        if frac.is_zero():
             raise ZeroInverse("cannot invert zero")
-        if x.is_scalar():
-            return scalar_leaf(x.ring, x.ring.field.inv(x.terms[()]))
-        nested = frac_from_ring_elt(x)
-        return Node([(scalar_leaf(x.ring, x.ring.field.one), ())], nested.alpha, nested.level)
+        if frac.is_scalar():
+            return ring.monomial(ring.field.inv(frac.terms[()]), ())
+        nested = frac_from_ring_elt(frac)
+        return Node([(ring.one(), ())], nested.alpha, nested.level)
     if not frac.alpha:
         raise ZeroInverse("cannot invert a zero fraction")
     return Node(frac.beta, frac.alpha, frac.level)

@@ -18,11 +18,9 @@ explicit residual certificate and refuse to return unverified results.
 from .charorder import failing_node
 from .errors import (CertificateFailure, IncompatibleCharacter,
                      MismatchedCharacter, MismatchedGroup, NoStrictMinimum,
-                     TruncationInsufficient, UnsupportedFraction)
+                     TruncationInsufficient)
 from .fields import QQ
 from .groupring import RingElt, format_ring_elt, ring_mul
-# the fraction builders live in iterfrac; tests also import these two from here
-from .iterfrac import frac_invert, scalar_leaf  # noqa: F401
 
 DEFAULT_M_MAX = 64
 DEFAULT_FRONTIER_ENTRY = 8
@@ -105,7 +103,7 @@ class NovContext:
 
     def compatible(self, other):
         return self.chi.group is other.chi.group and \
-            [c.values for c in self.chi.components] == [c.values for c in other.chi.components] and \
+            self.chi.components == other.chi.components and \
             self.project is other.project
 
 
@@ -267,28 +265,24 @@ def expand(frac, chi, trunc):
         raise IncompatibleCharacter("multicharacter is not compatible with the fraction",
                                     node=node)
     ring = _leaf_ring(frac)
-    if ring is None:
-        raise UnsupportedFraction("fraction has no leaves to infer the ring from")
     ctx = NovContext(chi, trunc)
     return _expand_rec(frac, ctx, ring)
 
 
 def _leaf_ring(frac):
-    if frac.is_leaf():
-        return frac.elem.ring
-    for coeff, _ in list(frac.alpha) + list(frac.beta):
-        ring = _leaf_ring(coeff)
-        if ring is not None:
-            return ring
-    return None
+    """The ring of the leaves, read down the first denominator entries
+    (a Node's denominator is never empty)."""
+    while not isinstance(frac, RingElt):
+        frac = frac.beta[0][0]
+    return frac.ring
 
 
 def _expand_rec(frac, ctx, ring):
     """Expansion keeps bodies exact between nodes (truncation happens only
     inside the inversions); each node verifies beta*result = alpha up to
     the frontier before returning."""
-    if frac.is_leaf():
-        return NovSeries(ctx, frac.elem)
+    if isinstance(frac, RingElt):
+        return NovSeries(ctx, frac)
     A = _assemble(frac.alpha, ctx, ring)
     B = _assemble(frac.beta, ctx, ring)
     inv = nov_invert(NovSeries(ctx, B))

@@ -246,12 +246,6 @@ class PcGroup(WordSyntax):
     def __repr__(self):
         return f"PcGroup({self.name}, {self.ngens} gens, {self.nlevels} levels)"
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
     def sort_key(self, elt):
         """Deterministic total order on normal forms, for stable printing."""
         return tuple((g, e) for g, e in elt)
@@ -353,24 +347,19 @@ class Subgroup:
 
     def insert(self, x):
         G = self.G
-        changed = False
         while x:
             g, e = x[0]
             p = self.pivots.get(g)
             if p is None:
                 self.pivots[g] = x if e > 0 else G.inv(x)
-                return True
+                return
             d = p[0][1]
             q = e // d
             x = G.mul(G.pow(p, -q), x)
-            if not x:
-                return changed
-            if x[0][0] == g:
+            if x and x[0][0] == g:
                 # 0 < new leading exponent < d: Euclid swap
                 self.pivots[g] = x
                 x = p
-                changed = True
-        return changed
 
     def reduce(self, x):
         return self.reduce_with_coeffs(x)[0]

@@ -25,8 +25,8 @@ from nilnov import (GF, GroupRing, LexOrder, MultiChar, QQ, QuotientMap,
                     nilpotent_quotient, nov_cohomology, nov_invert,
                     parse_presentation, ring_mul, series_from_elt, theorem_f)
 from nilnov.homology import CD_DROP, INCONCLUSIVE, VANISHES
-from nilnov.iterfrac import Leaf, Node
-from nilnov.novikov import NovContext, beyond_frontier, scalar_leaf
+from nilnov.iterfrac import Node
+from nilnov.novikov import NovContext, beyond_frontier
 from nilnov.presentations import fox_derivative
 
 from conftest import heisenberg_matrix
@@ -156,7 +156,7 @@ def _random_fraction(rng, ring, depth):
     def coefficient(level):
         if depth >= 2 and level == 0 and rng.random() < 0.6:
             return _node(1)
-        return scalar_leaf(ring, rng.choice([-2, -1, 1, 2, 3]))
+        return ring.monomial(rng.choice([-2, -1, 1, 2, 3]), ())
 
     def _node(level):
         alpha = [(coefficient(level), group_part(level))

@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from nilnov import (GroupRing, LexOrder, MultiChar, QQ, fit_character,
-                    fit_multicharacter, is_compatible, parse_mchar)
+                    fit_multicharacter, frac_invert, is_compatible,
+                    parse_mchar)
 from nilnov.charorder import format_mchar
 from nilnov.errors import Infeasible
-from nilnov.iterfrac import Leaf, Node
-from nilnov.novikov import frac_invert, scalar_leaf
 
 
 def rand_elt(rng, G, length=3, emax=3):
@@ -82,12 +81,12 @@ class TestMultiChar:
         assert chi.deg(heis.collect(heis.parse_word("a^2 c^3"))) == \
             (Fraction(2), Fraction(3, 2))
         again = parse_mchar(format_mchar(chi), heis)
-        assert [c.values for c in again.components] == [c.values for c in chi.components]
+        assert again.components == chi.components
 
     def test_sign_flip(self, heis):
         chi = MultiChar(heis, [[1, 0], [1]])
         flipped = chi.with_signs([1, -1])
-        assert flipped.components[1].values == [Fraction(-1)]
+        assert flipped.components[1] == [Fraction(-1)]
 
 
 class TestIntegerDegrees:
@@ -97,16 +96,16 @@ class TestIntegerDegrees:
     @staticmethod
     def fraction_deg(chi, g):
         group = chi.group
-        return tuple(sum((Fraction(c) * x for c, x in zip(comp.values, group.level_vector(g, i))),
+        return tuple(sum((Fraction(c) * x for c, x in zip(comp, group.level_vector(g, i))),
                          Fraction(0))
                      for i, comp in enumerate(chi.components))
 
     def test_integral_values_are_ints(self, heis):
         chi = MultiChar(heis, [[Fraction(4, 2), -1], ["3"]])
-        assert [[type(v) for v in c.values] for c in chi.components] == [[int, int], [int]]
-        assert chi.components[0].values == [2, -1]
+        assert [[type(v) for v in comp] for comp in chi.components] == [[int, int], [int]]
+        assert chi.components[0] == [2, -1]
         half = MultiChar(heis, [[Fraction(1, 2), 0], [1]])
-        assert half.components[0].values[0] == Fraction(1, 2)
+        assert half.components[0][0] == Fraction(1, 2)
 
     @pytest.mark.parametrize("name,values", [
         ("heis", [[1, -2], [3]]),
@@ -133,7 +132,7 @@ class TestCompatibility:
 
     def test_trivial_fraction(self, heis):
         chi = MultiChar(heis, [[0, 0], [0]])
-        assert is_compatible(chi, scalar_leaf(self._ring(heis), 3))
+        assert is_compatible(chi, self._ring(heis).monomial(3, ()))
 
     def test_denominator_one_minus_a(self, zgroup):
         ring = self._ring(zgroup)
@@ -146,7 +145,7 @@ class TestCompatibility:
         frac = frac_invert(ring.parse("1 - t"))
         order = LexOrder(zgroup)
         chi = fit_multicharacter([frac], zgroup, order)
-        assert chi.components[0].values == [Fraction(1)]
+        assert chi.components[0] == [Fraction(1)]
         assert is_compatible(chi, frac, order)
 
     def test_fit_heisenberg_two_levels(self, heis):
@@ -154,15 +153,25 @@ class TestCompatibility:
         frac = frac_invert(ring.parse("1 - a - c"))
         order = LexOrder(heis)
         chi = fit_multicharacter([frac], heis, order)
-        vals = [list(c.values) for c in chi.components]
-        assert vals == [[Fraction(1), Fraction(0)], [Fraction(1)]]
+        assert chi.components == [[Fraction(1), Fraction(0)], [Fraction(1)]]
         assert is_compatible(chi, frac, order)
 
     def test_fit_trivial_gives_zero_components(self, heis):
         ring = self._ring(heis)
         order = LexOrder(heis)
-        chi = fit_multicharacter([scalar_leaf(ring, 2)], heis, order)
+        chi = fit_multicharacter([ring.monomial(2, ())], heis, order)
         assert chi.is_zero()
+
+    def test_plain_element_is_compatible(self, zgroup):
+        # a finite element is a fraction without nodes: every chi fits it
+        x = self._ring(zgroup).parse("1 - t")
+        assert is_compatible(MultiChar(zgroup, [[1]]), x)
+        assert is_compatible(MultiChar(zgroup, [[0]]), x, LexOrder(zgroup))
+
+    def test_fit_plain_element_gives_zero_components(self, zgroup):
+        x = self._ring(zgroup).parse("1 - t")
+        chi = fit_multicharacter([x], zgroup, LexOrder(zgroup))
+        assert chi.components == [[0]] and chi.is_zero()
 
     def test_explicit_order_strictness(self, zgroup):
         ring = self._ring(zgroup)

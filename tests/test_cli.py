@@ -210,6 +210,19 @@ def test_sign_excludes_sweep(capsys):
     assert err.startswith("error: argument --sweep: not allowed with argument --sign\n")
 
 
+PARAFREE_C2 = ["nov-h", str(DATA / "parafree.fpg"), "--char", str(DATA / "chi_parafree_c2.mchar"),
+               "--quotient", "c2", "--frontier", "2"]
+
+
+@pytest.mark.parametrize("pattern", ["-+", "--"])
+def test_sign_pattern_starting_with_minus(capsys, pattern):
+    # argparse reads `--sign -+` as an option, and drops the value of `--sign=--`
+    code, out, _ = run(capsys, *PARAFREE_C2, f"--sign={pattern}")
+    assert code == 2
+    verdicts = [line for line in out.splitlines() if line.startswith("verdict")]
+    assert verdicts == [f"verdict {pattern} 2 inconclusive 2,2"]
+
+
 class TestHeaders:
     def test_header_echoes_configuration(self, capsys):
         code, out, _ = run(capsys, "nov-invert",

@@ -11,8 +11,8 @@ from nilnov.errors import (IncompatibleCharacter, MismatchedCharacter,
                            MismatchedGroup, NoStrictMinimum,
                            TruncationInsufficient, UnsupportedFraction)
 from nilnov.fracparse import parse_fraction_expr
-from nilnov.iterfrac import Leaf, Node
-from nilnov.novikov import _product_below, beyond_frontier, scalar_leaf, truncate_elt
+from nilnov.groupring import RingElt
+from nilnov.novikov import _product_below, beyond_frontier, truncate_elt
 from nilnov.presentations import nilpotent_quotient
 
 DATA = pathlib.Path(__file__).parents[1] / "demos" / "data"
@@ -296,8 +296,12 @@ class TestExpand:
     def test_leaf_passthrough(self, heis):
         R = GroupRing(heis, QQ)
         chi = MultiChar(heis, [[1, 0], [1]])
-        res = expand(Leaf(R.parse("3 + a")), chi, Trunc([4, 4], 10))
+        res = expand(R.parse("3 + a"), chi, Trunc([4, 4], 10))
         assert res.body == R.parse("3 + a")
+
+    def test_plain_element_expands_to_itself(self, zgroup):
+        x = GroupRing(zgroup, QQ).parse("1 - t")
+        assert expand(x, MultiChar(zgroup, [[1]]), Trunc([5], 10)).body == x
 
     def test_geometric_node(self, zgroup):
         R = GroupRing(zgroup, QQ)
@@ -347,23 +351,33 @@ class TestFracParse:
     def test_plain_polynomial_is_leaf(self, zgroup):
         R = GroupRing(zgroup, QQ)
         frac = parse_fraction_expr("1 - 2/3*t + t^2", R)
-        assert frac.is_leaf()
-        assert frac.elem == R.parse("1 - 2/3*t + t^2")
+        assert isinstance(frac, RingElt)
+        assert frac == R.parse("1 - 2/3*t + t^2")
+
+    def test_plain_element_parses_to_itself(self, zgroup):
+        R = GroupRing(zgroup, QQ)
+        x = parse_fraction_expr("1 - t", R)
+        assert x.ring is R and x == R.parse("1 - t")
+
+    def test_invert_scalar_gives_element(self, zgroup):
+        R = GroupRing(zgroup, QQ)
+        inv = frac_invert(R.parse("2"))
+        assert inv.ring is R and inv == R.parse("1/2")
 
     def test_monomial_inverse_stays_polynomial(self, zgroup):
         R = GroupRing(zgroup, QQ)
         frac = parse_fraction_expr("(2*t)^-1", R)
-        assert frac.is_leaf()
-        assert frac.elem == R.parse("1/2*t^-1")
+        assert isinstance(frac, RingElt)
+        assert frac == R.parse("1/2*t^-1")
 
     def test_nested_structure_levels(self, heis):
         R = GroupRing(heis, QQ)
         frac = parse_fraction_expr("(1 - a - c)^-1", R)
-        assert not frac.is_leaf() and frac.level == 0
+        assert not isinstance(frac, RingElt) and frac.level == 0
         # the identity-class denominator coefficient is a level-1 node
         coeffs = {tuple(g): cf for cf, g in frac.beta}
         inner = coeffs[()]
-        assert not inner.is_leaf() and inner.level == 1
+        assert not isinstance(inner, RingElt) and inner.level == 1
 
     def test_unsupported_same_level_product(self, zgroup):
         R = GroupRing(zgroup, QQ)
