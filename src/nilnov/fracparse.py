@@ -1,16 +1,28 @@
 """Iterated fractions from the literal grammar of groupring, with ^-1.
 
-Builds iterated fractions from text like "(1 - (1 - c)^-1 a)^-1".  The
-composition rules cover sums and products in which genuine fractions appear
-as deeper-level coefficients or get inverted wholesale; shapes that would
-need Ore moves (sums or products of same-level fractions with nontrivial
-denominators) raise UnsupportedFraction, since fractions are user-supplied
-syntax with no canonical form here.
+Builds iterated fractions from text like "(1 - (1 - c)^-1 a)^-1".  A node at
+level l stands for A*B^-1 with A = sum a*u_p and B = sum b*u_q, each group
+part p, q a normal form of level-l syllables and each coefficient a deeper
+fraction.  Every group part is moved by one rule, c*u_g = (c*u_r)*u_p with
+g = r*p and p the level-l syllables of g (`iterfrac.split_at_level`), and
+with it:
+
+    u_p*c = (u_p c u_p^-1)*u_p                  (left multiplication)
+    x*(C D^-1) = (x*C)*D^-1                      (x a numerator, or deeper)
+    (A B^-1)*y = A*(y^-1 B)^-1                   (y deeper, or a monomial)
+    A B^-1 + y = (A + y*B)*B^-1                  (y a numerator, or deeper)
+
+A numerator is a node with denominator 1 or a finite element.  Everything
+else needs an Ore move, since fractions are user-supplied syntax with no
+canonical form here: a sum of two same-level fractions with nontrivial
+denominators, or a product of two same-level fractions whose left factor
+has a nontrivial denominator (and whose right factor is not a monomial).
+Those, and only those, raise UnsupportedFraction.
 """
 
 from .errors import UnsupportedFraction
 from .groupring import RingElt, RingOps, read_expr, ring_mul
-from .iterfrac import Node, frac_invert, level_entries, split_at_level
+from .iterfrac import Node, frac_invert, split_at_level
 
 
 def parse_fraction_expr(text, ring):
@@ -27,156 +39,108 @@ class FractionOps(RingOps):
         return _scale(x, self.ring.field.neg(self.ring.field.one))
 
     def add(self, x, y):
-        return _add(x, y, self.ring)
+        if isinstance(x, RingElt) and isinstance(y, RingElt):
+            return x + y
+        level = min(self._level(x), self._level(y))
+        if self._denominator_at(y, level):
+            x, y = y, x
+        if not self._denominator_at(x, level):
+            return Node(self._entries(x, level) + self._entries(y, level),
+                        [(self.ring.one(), ())], level)
+        if self._denominator_at(y, level):
+            raise UnsupportedFraction(
+                "sum of two same-level fractions with nontrivial denominators")
+        # A B^-1 + y = (A + y*B)*B^-1
+        y_times_b = self.mul(y, Node(x.beta, [(self.ring.one(), ())], level))
+        return Node(x.alpha + self._entries(y_times_b, level), x.beta, level)
 
     def mul(self, x, y):
-        return _mul(x, y, self.ring)
+        ring = self.ring
+        if isinstance(x, RingElt) and isinstance(y, RingElt):
+            return ring_mul(x, y)
+        if isinstance(x, RingElt) and x.is_scalar():
+            return _scale(y, x.terms.get((), ring.field.zero))
+        if isinstance(y, RingElt) and y.is_scalar():
+            return _scale(x, y.terms.get((), ring.field.zero))
+        level = min(self._level(x), self._level(y))
+        one = [(ring.one(), ())]
+        if self._denominator_at(y, level):  # x*(C D^-1) = (x*C)*D^-1
+            x_times_c = self.mul(x, Node(y.alpha, one, level))
+            return Node(self._entries(x_times_c, level), y.beta, level)
+        if self._denominator_at(x, level):  # (A B^-1)*y = A*(y^-1 B)^-1
+            if self._level(y) == level and not (isinstance(y, RingElt) and len(y.terms) == 1):
+                raise UnsupportedFraction(
+                    "product of two same-level fractions whose left factor "
+                    "has a nontrivial denominator")
+            y_inv_b = self.mul(self.invert(y), Node(x.beta, one, level))
+            return Node(x.alpha, self._entries(y_inv_b, level), level)
+        # both are numerators at `level`: a*u_p * c*u_q = (a * u_p c u_p^-1)*u_pq
+        group = ring.group
+        return Node([self._entry(self.mul(a, self._conj(c, p)), group.mul(p, q), level)
+                     for a, p in self._entries(x, level)
+                     for c, q in self._entries(y, level)], one, level)
 
     def invert(self, x):
         if isinstance(x, RingElt) and len(x.terms) == 1:
             return super().invert(x)
         return frac_invert(x)
 
+    # -- moving group parts ---------------------------------------------
 
-# -- fraction algebra ------------------------------------------------------
+    def _entry(self, coeff, g, level):
+        """coeff*u_g as a node entry at `level`: (coeff*u_rest, prefix)."""
+        prefix, rest = split_at_level(self.ring.group, g, level)
+        if rest:
+            coeff = self.mul(coeff, self.ring.monomial(self.ring.field.one, rest))
+        return coeff, prefix
 
-def _map_leaves(frac, f):
-    """frac with f applied to every numerator leaf; denominators are kept."""
-    if isinstance(frac, RingElt):
-        return f(frac)
-    return Node([(_map_leaves(cf, f), g) for cf, g in frac.alpha], frac.beta, frac.level)
+    def _conj(self, frac, g):
+        """u_g frac u_g^-1, every conjugated group part moved by _entry."""
+        if not g:
+            return frac
+        group = self.ring.group
+        g_inv = group.inv(g)
+        if isinstance(frac, RingElt):
+            return self.ring.from_terms((group.mul(g, group.mul(h, g_inv)), cf)
+                                        for h, cf in frac.terms.items())
+
+        def conj_entries(entries):
+            return [self._entry(self._conj(cf, g), group.mul(g, group.mul(h, g_inv)), frac.level)
+                    for cf, h in entries]
+
+        return Node(conj_entries(frac.alpha), conj_entries(frac.beta), frac.level)
+
+    # -- levels and entries ---------------------------------------------
+
+    def _level(self, value):
+        if isinstance(value, RingElt):
+            group = self.ring.group
+            return min((group.leading_level(g) for g in value.terms), default=group.nlevels)
+        return value.level
+
+    def _denominator_at(self, value, level):
+        """Is value a fraction at `level` with a nontrivial denominator?"""
+        if isinstance(value, RingElt) or value.level != level:
+            return False
+        if len(value.beta) != 1:
+            return True
+        coeff, g = value.beta[0]
+        return bool(g) or not (isinstance(coeff, RingElt)
+                               and coeff.terms == {(): self.ring.field.one})
+
+    def _entries(self, value, level):
+        """A numerator at `level`, or a value deeper than it, as node
+        entries [(coefficient, prefix)]."""
+        if isinstance(value, RingElt):
+            return [self._entry(self.ring.monomial(value.terms[g], ()), g, level)
+                    for g in value.support()]
+        if value.level > level:
+            return [(value, ())]
+        return list(value.alpha)
 
 
 def _scale(value, coeff):
-    return _map_leaves(value, lambda x: x.scaled(coeff))
-
-
-def _central_beyond(group, level):
-    """Are all generators deeper than `level` central?"""
-    for (y, x), tail in group.conj_tails.items():
-        if tail and (group.levels[y] > level or group.levels[x] > level):
-            return False
-    return True
-
-
-def _mul_frac_central(frac, z, ring):
-    """frac * u_z for z a central element deeper than the fraction's level."""
-    if not z:
-        return frac
-    if not _central_beyond(ring.group, ring.group.leading_level(z) - 1):
-        raise UnsupportedFraction("deep group part is not central")
-    u_z = ring.monomial(ring.field.one, z)
-    return _map_leaves(frac, lambda x: ring_mul(x, u_z))
-
-
-def _conj_frac(frac, g, ring):
-    """psi_g(frac) = u_g frac u_g^-1, conjugating every group part."""
-    group = ring.group
-    ginv = group.inv(g)
-
-    def conj_elt(h):
-        return group.mul(g, group.mul(h, ginv))
-
-    if isinstance(frac, RingElt):
-        return ring.from_terms((conj_elt(h), cf) for h, cf in frac.terms.items())
-
-    def conj_entries(entries):
-        out = []
-        for cf, h in entries:
-            hh = conj_elt(h)
-            prefix, suffix = split_at_level(group, hh, frac.level)
-            cf2 = _conj_frac(cf, g, ring)
-            if suffix:
-                cf2 = _mul_frac_central(cf2, suffix, ring)
-            out.append((cf2, prefix))
-        return out
-
-    return Node(conj_entries(frac.alpha), conj_entries(frac.beta), frac.level)
-
-
-def _beta_trivial(frac, ring):
-    if len(frac.beta) != 1:
-        return False
-    coeff, g = frac.beta[0]
-    return not g and isinstance(coeff, RingElt) and coeff.terms == {(): ring.field.one}
-
-
-def _frac_level(value, ring):
+    """value with every numerator leaf scaled by coeff; denominators are kept."""
     if isinstance(value, RingElt):
-        group = ring.group
-        return min((group.leading_level(g) for g in value.terms), default=group.nlevels)
-    return value.level
-
-
-def _entries_of(value, level, ring):
-    """View a poly/fraction as node entries [(coeff_frac, class)] at `level`,
-    which is at most the level of `value`."""
-    if isinstance(value, RingElt):
-        return level_entries(value, level)
-    if value.level > level:
-        return [(value, ())]
-    if _beta_trivial(value, ring):
-        return list(value.alpha)
-    raise UnsupportedFraction(
-        "sum involving a same-level fraction with a nontrivial denominator")
-
-
-def _add(x, y, ring):
-    if isinstance(x, RingElt) and isinstance(y, RingElt):
-        return x + y
-    level = min(_frac_level(x, ring), _frac_level(y, ring))
-    entries = _entries_of(x, level, ring) + _entries_of(y, level, ring)
-    return Node(entries, [(ring.one(), ())], level)
-
-
-def _mul(x, y, ring):
-    if isinstance(x, RingElt) and isinstance(y, RingElt):
-        return ring_mul(x, y)
-    if isinstance(x, RingElt) and x.is_scalar():
-        return _scale(y, x.terms.get((), ring.field.zero))
-    if isinstance(y, RingElt) and y.is_scalar():
-        return _scale(x, y.terms.get((), ring.field.zero))
-    if isinstance(x, RingElt):
-        result = None
-        for g in x.support():
-            scaled = _scale(y, x.terms[g])
-            piece = _frac_times_word(_conj_frac(scaled, g, ring), g, ring) if g else scaled
-            result = piece if result is None else _add(result, piece, ring)
-        return result
-    if isinstance(y, RingElt):
-        result = None
-        for g in y.support():
-            scaled = _scale(x, y.terms[g])
-            piece = _frac_times_word(scaled, g, ring) if g else scaled
-            result = piece if result is None else _add(result, piece, ring)
-        return result
-    # fraction * fraction: supported when the right factor is strictly deeper
-    if y.level > x.level and _beta_trivial(x, ring):
-        return Node([(_mul(cf, y, ring), g) for cf, g in x.alpha], x.beta, x.level)
-    raise UnsupportedFraction("product of two same-level fractions")
-
-
-def _frac_times_word(frac, g, ring):
-    """frac * u_g, folding g into group parts (splitting levels as needed)."""
-    group = ring.group
-    if isinstance(frac, RingElt):
-        return ring_mul(frac, ring.monomial(ring.field.one, g))
-    if not g:
-        return frac
-    glevel = group.leading_level(g)
-    if glevel > frac.level:
-        return _mul_frac_central(frac, g, ring)
-    if glevel < frac.level:
-        prefix, suffix = split_at_level(group, g, glevel)
-        inner = _frac_times_word(frac, suffix, ring) if suffix else frac
-        return Node([(inner, prefix)], [(ring.one(), ())], glevel)
-    if not _beta_trivial(frac, ring):
-        raise UnsupportedFraction("right multiplication into a nontrivial denominator")
-    entries = []
-    for cf, h in frac.alpha:
-        prod = group.mul(h, g)
-        prefix, suffix = split_at_level(group, prod, frac.level)
-        if suffix:
-            cf = _mul_frac_central(cf, suffix, ring)
-        entries.append((cf, prefix))
-    return Node(entries, frac.beta, frac.level)
+        return value.scaled(coeff)
+    return Node([(_scale(cf, coeff), g) for cf, g in value.alpha], value.beta, value.level)

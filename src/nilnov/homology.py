@@ -43,19 +43,19 @@ failed certificate, each vanishing verdict holds over the Novikov ring:
   (all columns when d1 has no pivot), B is invertible on them and p is a
   unit on i0, so P2 -> P1 -> P0 is exact at P1.
 
-The truncated pivot inverses, and the frontier widening of `_inv_ctx`
-that decides how far they are expanded, do not enter this argument: they
-only choose the multipliers of exact row and column operations, and the
-certificate reads T itself.  On free words the check is sound too: the
-degrees of a free-group-ring element's words bound the degrees of its
-image in the presented group's ring from below, and a unique minimal free
-word stays a unique minimal term there.  `nov_cohomology` marks a report
-whose verdict at its degree vanishes under this check `exact`, and makes
-no re-run for it.  With two or more levels the box frontier is not a
-valuation bound (a term beyond the box can be lex-smaller than a pivot),
-so those verdicts, like every witness, stay "at truncation" and are
-re-run at a doubled frontier for `stable`.  An inconclusive verdict
-asserts nothing, so it is not re-run.
+The truncated pivot inverses, and the frontier widening of
+`novikov.widened_context` that decides how far they are expanded, do not
+enter this argument: they only choose the multipliers of exact row and
+column operations, and the certificate reads T itself.  On free words the
+check is sound too: the degrees of a free-group-ring element's words bound
+the degrees of its image in the presented group's ring from below, and a
+unique minimal free word stays a unique minimal term there.
+`nov_cohomology` marks a report whose verdict at its degree vanishes under
+this check `exact`, and makes no re-run for it.  With two or more levels
+the box frontier is not a valuation bound (a term beyond the box can be
+lex-smaller than a pivot), so those verdicts, like every witness, stay "at
+truncation" and are re-run at a doubled frontier for `stable`.  An
+inconclusive verdict asserts nothing, so it is not re-run.
 """
 
 import itertools
@@ -65,7 +65,7 @@ from .errors import (DimensionMismatch, InconsistentReport, MismatchedCharacter,
 from .fields import QQ, rank
 from .groupring import augment, dot, ring_mul
 from .novikov import (NovContext, NovSeries, beyond_frontier, format_degree,
-                      minimal_term, nov_invert)
+                      minimal_term, nov_invert, widened_context)
 from .presentations import fox_complex
 
 VANISHES = "vanishes-at-truncation"
@@ -115,12 +115,10 @@ class RankReport:
 
 
 class CriterionVerdict:
-    def __init__(self, degree, patterns, reports, conclusion, trunc):
-        self.degree = degree
+    def __init__(self, patterns, reports, conclusion):
         self.patterns = patterns
         self.reports = reports
         self.conclusion = conclusion
-        self.trunc = trunc
 
 
 # -- field Betti numbers ---------------------------------------------------
@@ -182,23 +180,15 @@ class _Elimination:
         self.stall2 = None
         self.certified = True       # False once a clearing certificate failed
 
-    def _inv_ctx(self):
-        """Context for pivot inversion, widened by the negative degree depth
-        present in the current matrices: multiplying a cleared residual by
-        such an entry may lower degrees by that much, and the result must
-        still certify at the reporting frontier."""
-        degs = [self.ctx.deg(g) for M in (self.M1, self.M2)
-                for row in M for elt in row for g in elt.terms]
-        trunc = self.ctx.trunc
-        depth = [-min((d[i] for d in degs), default=0) for i in range(len(trunc.frontier))]
-        return self.ctx.with_trunc(trunc.widened(depth))
-
     def _choose_pivot(self, cells):
         """The least (minimal degree, column, row) entry among `cells`
         (triples column, row, entry) whose inverse certifies, as
         (column, row, inverse body) or None; and the first stall reason of
         each column.  Entries beyond the frontier count as zero."""
-        inv_ctx = self._inv_ctx()
+        # multiplying a cleared residual by an entry may lower degrees by the
+        # matrices' negative depth, and the result must still certify
+        inv_ctx = widened_context(self.ctx, [e for M in (self.M1, self.M2)
+                                             for row in M for e in row])
         key, pivot, stuck = None, None, {}
         for c, r, e in cells:
             if beyond_frontier(self.ctx, e):
@@ -450,7 +440,7 @@ def theorem_f(presentation, qmap, chi, degree, trunc, field=None):
         conclusion = OBSTRUCTION
     else:
         conclusion = INCONCLUSIVE
-    return CriterionVerdict(degree, [r.pattern for r in reports], reports, conclusion, trunc)
+    return CriterionVerdict([r.pattern for r in reports], reports, conclusion)
 
 
 def euler_check(cx, reports):

@@ -4,7 +4,8 @@ A leaf is a finite group-ring element (a RingElt) and expands to itself.
 A Node at level i holds numerator and denominator lists of (coefficient,
 group part) pairs, where group parts are normal forms supported at level i
 and each coefficient is an iterated fraction whose levels are strictly
-deeper.
+deeper.  It stands for alpha*beta^-1, each list read as the sum of its
+coefficient*u_part.
 """
 
 from .errors import ZeroInverse
@@ -47,21 +48,29 @@ def support_vectors(node, group):
 # -- building iterated fractions ------------------------------------------
 
 def split_at_level(group, g, level):
-    """g = prefix * suffix with prefix the level-`level` syllables."""
+    """(prefix, rest) with g = rest * prefix, prefix the level-`level`
+    syllables of g, for g none of whose syllables is shallower.
+
+    This is the one rule that moves group parts through fractions:
+    c*u_g = (c*u_rest)*u_prefix, where rest = p s p^-1 for g = p s (p the
+    prefix, s the deeper syllables) is deeper than `level` because every
+    term of the series is normal.
+    """
     prefix = tuple((i, e) for i, e in g if group.levels[i] == level)
-    suffix = tuple((i, e) for i, e in g if group.levels[i] > level)
-    return prefix, suffix
+    if len(prefix) == len(g):
+        return prefix, ()
+    return prefix, group.mul(g, group.inv(prefix))
 
 
 def level_entries(x, level):
     """Node entries [(coefficient, prefix)] of a finite element none of whose
     terms is shallower than `level`: terms grouped by their level-`level`
-    syllables, each group's deeper rest nested by frac_from_ring_elt."""
+    prefix, each group's rest nested by frac_from_ring_elt."""
     group = x.ring.group
     classes = {}
     for g in x.support():
-        prefix, suffix = split_at_level(group, g, level)
-        classes.setdefault(prefix, []).append((suffix, x.terms[g]))
+        prefix, rest = split_at_level(group, g, level)
+        classes.setdefault(prefix, []).append((rest, x.terms[g]))
     return [(frac_from_ring_elt(x.ring.from_terms(classes[prefix])), prefix)
             for prefix in sorted(classes, key=group.sort_key)]
 

@@ -59,10 +59,6 @@ class Trunc:
         return Trunc([t + max(0, s) for t, s in zip(self.frontier, shift)],
                      self.m_max)
 
-    def __eq__(self, other):
-        return (isinstance(other, Trunc) and self.frontier == other.frontier
-                and self.m_max == other.m_max)
-
     def __str__(self):
         """The frontier as headers, verdict lines and O(...) tails print it."""
         return ",".join(str(t) for t in self.frontier)
@@ -176,6 +172,15 @@ def beyond_frontier(ctx, elt):
     return all(not ctx.trunc.retains(ctx.deg(g)) for g in elt.terms)
 
 
+def widened_context(ctx, elts):
+    """ctx with its frontier raised by the negative degree depth of the
+    terms of elts: multiplying by one of them may lower degrees by that
+    much, and a product must still be complete below the frontier of ctx."""
+    degs = [ctx.deg(g) for elt in elts for g in elt.terms]
+    depth = [-min((d[i] for d in degs), default=0) for i in range(len(ctx.trunc.frontier))]
+    return ctx.with_trunc(ctx.trunc.widened(depth))
+
+
 def nov_mul(x, y):
     if not x.ctx.compatible(y.ctx):
         raise MismatchedCharacter("operands carry different multicharacters")
@@ -258,7 +263,7 @@ def expand(frac, chi, trunc):
 
     Compatibility of chi with the fraction is checked first; the expansion
     then proceeds deepest level first and verifies
-    expand(beta) * result = expand(alpha) up to the frontier at every node.
+    result * expand(beta) = expand(alpha) up to the frontier at every node.
     """
     node = failing_node(chi, frac)
     if node is not None:
@@ -278,19 +283,26 @@ def _leaf_ring(frac):
 
 
 def _expand_rec(frac, ctx, ring):
-    """Expansion keeps bodies exact between nodes (truncation happens only
-    inside the inversions); each node verifies beta*result = alpha up to
-    the frontier before returning."""
+    """A node is alpha*beta^-1.  Bodies stay exact between nodes, and
+    truncation happens only inside the inversions: beta is inverted at the
+    frontier widened by alpha's negative degree depth, and each node
+    verifies result*beta = alpha up to the frontier before returning.
+
+    That check reads alpha and beta as expanded to the frontier.  A nested
+    node inside beta is truncated there too, and an inverse that lowers
+    deeper-level degrees can bring its dropped terms inside the box, which
+    no check sees: through nested multi-level nodes the result holds at
+    truncation only."""
     if isinstance(frac, RingElt):
         return NovSeries(ctx, frac)
     A = _assemble(frac.alpha, ctx, ring)
     B = _assemble(frac.beta, ctx, ring)
-    inv = nov_invert(NovSeries(ctx, B))
+    inv = nov_invert(NovSeries(widened_context(ctx, [A]), B))
     body = ring_mul(A, inv.body)
-    residual = _product_below(ctx, B, body) - A
+    residual = _product_below(ctx, body, B) - A
     if not beyond_frontier(ctx, residual):
         raise CertificateFailure(
-            "node certificate failed: beta*result differs from alpha inside the frontier")
+            "node certificate failed: result*beta differs from alpha inside the frontier")
     return NovSeries(ctx, body)
 
 

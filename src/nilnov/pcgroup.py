@@ -429,9 +429,6 @@ class Subgroup:
     def describe(self):
         return [self.G.format_elt(p) for p in self.pivot_list()]
 
-    def __eq__(self, other):
-        return isinstance(other, Subgroup) and self.G is other.G and self.pivots == other.pivots
-
 
 class LowerCentralSeries:
     def __init__(self, group, gammas, isolators, class_exceeded):
@@ -529,9 +526,6 @@ class RefinementSeries:
     def __init__(self, group, terms):
         self.group = group
         self.terms = terms  # [whole, ..., trivial], each a Subgroup
-
-    def __len__(self):
-        return len(self.terms)
 
 
 def free_abelianization_refine(group):

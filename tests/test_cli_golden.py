@@ -36,6 +36,10 @@ COMMANDS = [
     "nov-invert --group demos/data/z.pcg --char demos/data/chi_z.mchar '1 - t' --frontier 5",
     "expand --group demos/data/heis.pcg --char demos/data/chi_h3.mchar"
     " '(1 - (1 - c)^-1 a)^-1' --frontier 3,4",
+    "expand --group demos/data/f23.pcg --char demos/data/chi_f23.mchar"
+    " '(1 - a c)^-1' --frontier 3,3,3",
+    "nov-invert --group demos/data/f23.pcg --char demos/data/chi_f23.mchar"
+    " '1 - a c' --frontier 3,3,3",
     "fox demos/data/torus.fpg --quotient c1",
     "fox demos/data/bs12.fpg",
     "nq demos/data/f2.fpg --class 2",

@@ -6,12 +6,14 @@ import pytest
 
 from nilnov import (GroupRing, LexOrder, MultiChar, NovContext, NovSeries, QQ,
                     Trunc, expand, format_series, frac_invert, nov_invert,
-                    nov_mul, parse_presentation, ring_mul, series_from_elt)
+                    nov_mul, parse_pc, parse_presentation, ring_mul,
+                    series_from_elt)
 from nilnov.errors import (IncompatibleCharacter, MismatchedCharacter,
-                           MismatchedGroup, NoStrictMinimum,
+                           MismatchedGroup, NilnovError, NoStrictMinimum,
                            TruncationInsufficient, UnsupportedFraction)
 from nilnov.fracparse import parse_fraction_expr
-from nilnov.groupring import RingElt
+from nilnov.groupring import RingElt, RingOps, read_expr
+from nilnov.iterfrac import Node
 from nilnov.novikov import _product_below, beyond_frontier, truncate_elt
 from nilnov.presentations import nilpotent_quotient
 
@@ -384,6 +386,24 @@ class TestFracParse:
         with pytest.raises(UnsupportedFraction):
             parse_fraction_expr("(1 - t)^-1 (1 + t)^-1 + 1", R)
 
+    @pytest.mark.parametrize("group, text, ore", [
+        ("heis", "c (1 - c)^-1", False),
+        ("free_class3", "(1 - d)^-1 a c", False),
+        ("heis", "(1 - a)^-1 b", False),
+        ("heis", "(1 - a)^-1 (1 - c)^-1", False),
+        ("heis", "1 + (1 - a)^-1", False),
+        ("zgroup", "(1 - t)^-1 (1 + t)^-1 + 1", True),
+        ("heis", "(1 - a)^-1 (1 - b + c)", True),
+        ("heis", "(1 - a)^-1 + (1 - b)^-1", True),
+    ])
+    def test_only_ore_moves_are_refused(self, request, group, text, ore):
+        R = GroupRing(request.getfixturevalue(group), QQ)
+        if ore:
+            with pytest.raises(UnsupportedFraction):
+                parse_fraction_expr(text, R)
+        else:
+            assert isinstance(parse_fraction_expr(text, R), Node)
+
     def test_products_with_group_parts(self, heis):
         R = GroupRing(heis, QQ)
         chi = MultiChar(heis, [[1, 0], [1]])
@@ -392,3 +412,117 @@ class TestFracParse:
         a, c = heis.index["a"], heis.index["c"]
         assert res.body.terms[((a, 1),)] == 1
         assert res.body.terms[((a, 1), (c, 2))] == 1
+
+
+def _f23_chi(group):
+    """chi = (a=1 b=2; c=1; d=1 e=2), the class-3 pins' multicharacter."""
+    return MultiChar(group, [[1, 2], [1], [1, 2]])
+
+
+class TestGroupPartMoves:
+    """Fractions move a deeper group part s past a level prefix p by
+    c*u_ps = (c*u_psp^-1)*u_p; in class 3, p s p^-1 differs from s."""
+
+    def test_class3_unit_matches_nov_invert(self, free_class3):
+        R = GroupRing(free_class3, QQ)
+        chi = _f23_chi(free_class3)
+        ctx = NovContext(chi, Trunc([3, 3, 3], 64))
+        res = expand(parse_fraction_expr("(1 - a c)^-1", R), chi, ctx.trunc)
+        inv = nov_invert(series_from_elt(ctx, R.parse("1 - a c")))
+        assert in_box(ctx, res.body) == in_box(ctx, inv.body)
+        assert in_box(ctx, res.body) == in_box(ctx, R.parse("1 + a c + a^2 c^2 d"))
+
+    def test_class3_right_multiplication(self, free_class3):
+        R = GroupRing(free_class3, QQ)
+        chi = _f23_chi(free_class3)
+        ctx = NovContext(chi, Trunc([3, 3, 3], 64))
+        geo = expand(parse_fraction_expr("(1 - d)^-1", R), chi, ctx.trunc).body
+        for text in ("(1 - d)^-1 (a c)", "(1 - d)^-1 a c"):
+            res = expand(parse_fraction_expr(text, R), chi, ctx.trunc)
+            assert in_box(ctx, res.body) == in_box(ctx, ring_mul(geo, R.parse("a c")))
+
+    def test_class3_left_multiplication(self, free_class3):
+        R = GroupRing(free_class3, QQ)
+        chi = _f23_chi(free_class3)
+        ctx = NovContext(chi, Trunc([3, 3, 3], 64))
+        res = expand(parse_fraction_expr("e (1 + b c)^-1", R), chi, ctx.trunc)
+        assert in_box(ctx, res.body) == in_box(ctx, R.parse("e - b c e"))
+
+    def test_node_is_alpha_times_beta_inverse(self, heis):
+        """Node(alpha, beta) is alpha*beta^-1: a (1 - b)^-1 = a + a b + ...,
+        while (1 - b)^-1 a = a + b a + ... differs by a power of c."""
+        R = GroupRing(heis, QQ)
+        chi = MultiChar(heis, [[1, 2], [1]])
+        ctx = NovContext(chi, Trunc([4, 4], 64))
+        b = R.parse("b").support()[0]
+        a = R.parse("a").support()[0]
+        frac = Node([(R.one(), a)], [(R.one(), ()), (-R.one(), b)], 0)
+        assert in_box(ctx, expand(frac, chi, ctx.trunc).body) == in_box(ctx, R.parse("a + a b"))
+
+
+class _TruncatedRingOps(RingOps):
+    """The literal grammar over truncated series: products truncate
+    ring_mul at the context's frontier, and ^-1 calls nov_invert.  It reads
+    fraction texts without building any iterated fraction."""
+
+    def __init__(self, ring, ctx):
+        super().__init__(ring)
+        self.ctx = ctx
+
+    def mul(self, x, y):
+        return truncate_elt(self.ctx, ring_mul(x, y))
+
+    def invert(self, x):
+        if len(x.terms) == 1:
+            return super().invert(x)
+        return truncate_elt(self.ctx, nov_invert(NovSeries(self.ctx, x)).body)
+
+
+def _positive_expression(rng, gens):
+    """A sum of products of positive words, units (1|2 +- w)^-1 and
+    parenthesised sums."""
+    def word():
+        return " ".join(rng.choice(gens) for _ in range(rng.randint(1, 2)))
+
+    def factor(depth):
+        r = rng.random()
+        if r < 0.35:
+            return word()
+        if r < 0.8 or depth:
+            return f"({rng.choice('12')} {rng.choice('+-')} {word()})^-1"
+        return f"({expression(depth + 1)})"
+
+    def expression(depth=0):
+        return " + ".join(" ".join(factor(depth) for _ in range(rng.randint(1, 3)))
+                          for _ in range(rng.randint(1, 2)))
+
+    return expression()
+
+
+class TestExpandAgainstTruncatedArithmetic:
+    """Wherever expand answers, it agrees inside the box with the same text
+    evaluated by truncated products and nov_invert at frontier + 4.  Each
+    case's fixed texts must be answered."""
+
+    CASES = [("heis.pcg", [[1, 0], [1]], (4, 4), 60, ["c (1 - c)^-1", "(1 - a)^-1 a"]),
+             ("heis.pcg", [[1, 1], [1]], (4, 4), 60, ["(1 + a b)^-1 (2 - c)^-1"]),
+             ("f23.pcg", [[1, 2], [1], [1, 2]], (3, 3, 3), 40,
+              ["(1 - a c)^-1", "(1 - d)^-1 a c", "e (1 + b c)^-1"])]
+
+    @pytest.mark.parametrize("pcg, comps, frontier, count, fixed", CASES)
+    def test_positive_corpus(self, pcg, comps, frontier, count, fixed):
+        group = parse_pc((DATA / pcg).read_text())
+        R = GroupRing(group, QQ)
+        chi = MultiChar(group, comps)
+        ctx = NovContext(chi, Trunc(frontier, 64))
+        ref_ctx = NovContext(chi, Trunc([t + 4 for t in frontier], 64))
+        rng = random.Random(pcg + str(comps))
+        texts = fixed + [_positive_expression(rng, group.gen_names) for _ in range(count)]
+        for text in texts:
+            try:
+                res = expand(parse_fraction_expr(text, R), chi, ctx.trunc)
+            except NilnovError:
+                assert text not in fixed
+                continue
+            ref = read_expr(text, _TruncatedRingOps(R, ref_ctx))
+            assert in_box(ctx, res.body) == in_box(ctx, ref), text
