@@ -36,9 +36,14 @@ def nodes(frac):
 
 
 def support_vectors(node, group):
-    """Distinct level-`node.level` exponent vectors of supp(alpha) u supp(beta)."""
+    """Distinct level-`node.level` exponent vectors of the node's parts:
+    supp(alpha) u supp(beta), or supp(alpha) alone when the denominator is
+    one scalar entry at the identity.  Such a node is the finite sum alpha
+    over a scalar, and that identity is no term of it."""
+    (coeff, part), *rest = node.beta
+    finite = not rest and part == () and isinstance(coeff, RingElt) and coeff.is_scalar()
     seen = []
-    for _, g in list(node.alpha) + list(node.beta):
+    for _, g in node.alpha if finite else node.alpha + node.beta:
         v = group.level_vector(g, node.level)
         if v not in seen:
             seen.append(v)

@@ -6,14 +6,20 @@ the box (every coordinate strictly below the frontier); the lexicographic
 order on degree tuples is used whenever a minimal term is needed.  Degrees
 and frontier entries are ints when integral (else reduced Fractions).
 
-Degree arithmetic is trusted in one place only: chi_0 is a homomorphism,
-so the level-0 degree of a product is the sum of its factors' level-0
+Degree arithmetic is trusted in two places.  chi_0 is a homomorphism, so
+the level-0 degree of a product is the sum of its factors' level-0
 degrees, and products skip every pair whose sum reaches the level-0
-frontier (such a term would be truncated anyway).  Level-1 and deeper
-degrees are not additive and are never used that way.  The skipped pairs
-change no term inside the frontier box; inversion and expansion verify an
-explicit residual certificate and refuse to return unverified results.
+frontier (such a term would be truncated anyway).  And G_l/G_{l+1} is
+central in G/G_{l+1}, so for a right factor h in G_l the levels <= l add:
+deg_i(gh) = deg_i(g) + deg_i(h) for i <= l; nov_invert orders its series
+sweep by that.  Deeper levels are not additive in general (a product picks
+up cross terms of shallower exponents) and are never used otherwise.
+Neither fact changes a term inside the frontier box; inversion and
+expansion verify an explicit residual certificate and refuse to return
+unverified results.
 """
+
+import heapq
 
 from .charorder import failing_node
 from .errors import (CertificateFailure, IncompatibleCharacter,
@@ -218,13 +224,129 @@ def minimal_term(ctx, elt):
     return best
 
 
+def _image(ctx, g):
+    """g as an element of the multicharacter's group."""
+    return ctx.project(g) if ctx.project else g
+
+
+def _sweep_key(ctx, beta_plus):
+    """The key the geometric series of nov_invert is swept by.
+
+    Returns the number of leading degree levels that make up the key, or
+    None when the key is the chain length.  For a term h of beta_plus of
+    lex-positive degree let l(h) be its first level of nonzero degree.  If
+    each h lies in G_l(h), right multiplication by h adds degrees on levels
+    <= l(h), so the degree cut after L = max l(h) rises strictly with every
+    factor.  Membership is read on the projected element when the context
+    projects.  A term of non-positive degree makes the key the chain
+    length; its powers may still leave the box through cross terms.  When
+    _check_divergence proves that they do not, it raises NoStrictMinimum.
+    """
+    group = ctx.chi.group
+    levels, nested = [0], True
+    for h in beta_plus.terms:
+        d = ctx.deg(h)
+        level = next((i for i, x in enumerate(d) if x), None)
+        if level is None or d[level] < 0:
+            _check_divergence(ctx, beta_plus, h)
+            nested = False
+        else:
+            levels.append(level)
+            nested = nested and group.leading_level(_image(ctx, h)) >= level
+    return max(levels) + 1 if nested else None
+
+
+def _check_divergence(ctx, beta_plus, h):
+    """Raise NoStrictMinimum when the term h of non-positive degree keeps
+    the chain-by-chain series inside the box through m_max factors.
+
+    No term of beta_plus has negative level-0 degree (beta_0 is minimal and
+    chi_0 a homomorphism), so the level-0-degree-0 part of beta_plus^m is
+    Z^m, Z the level-0-degree-0 part of beta_plus; h is in Z.  Z lies in G_l,
+    l its least leading level, and the level-l exponent vector v is a
+    homomorphism there.  If h is the only term of Z maximising
+    <v(h), v(.)>, and v(h) != 0, then c^m h^m (c the coefficient of h) is
+    the unique term of Z^m maximising it: nothing cancels it.  When h^k is
+    inside the box for every k <= m_max + 1, the series keeps c^k h^k at
+    every chain length k <= m_max and beta*gamma - 1 keeps
+    -c^(m_max+1) h^(m_max+1), so the certificate would fail after m_max
+    factors.  Otherwise nothing is proved and the series runs.
+    """
+    group = ctx.chi.group
+    zero_part = [_image(ctx, g) for g in beta_plus.terms if ctx.deg(g)[0] == 0]
+    level = min(map(group.leading_level, zero_part))
+    if level == group.nlevels:
+        return
+    x = _image(ctx, h)
+    v = group.level_vector(x, level)
+    weights = sorted(sum(a * b for a, b in zip(v, group.level_vector(g, level)))
+                     for g in zero_part)
+    top = sum(a * a for a in v)
+    if top == 0 or weights[-1] != top or (len(weights) > 1 and weights[-2] == top):
+        return
+    power = x
+    for _ in range(ctx.trunc.m_max + 1):
+        if not ctx.trunc.retains(ctx.chi.deg(power)):
+            return
+        power = group.mul(power, x)
+    raise NoStrictMinimum(f"beta_plus term of degree {format_degree(ctx.deg(h))} is not positive")
+
+
+def _geometric_sum(wctx, beta_plus, cut, m_max):
+    """S = sum beta_plus^m truncated to wctx, swept by the key of
+    _sweep_key (cut leading degree levels, or the chain length for None);
+    None when a degree sweep reaches a chain of m_max factors."""
+    ring = beta_plus.ring
+    start = 0 if cut is None else (0,) * cut
+    buckets = {start: (ring.one(), 0)}  # key -> (pending terms, longest chain)
+    heap = [start]
+    S = ring.zero()
+    while heap:
+        bucket, chain = buckets.pop(heapq.heappop(heap))
+        if bucket.is_zero():
+            continue
+        if chain == m_max and cut is not None:
+            return None
+        S = S + bucket
+        if chain == m_max:
+            continue
+        product = truncate_elt(wctx, _product_below(wctx, bucket, beta_plus))
+        if cut is None:
+            parts = {chain + 1: product.terms}
+        else:
+            parts = {}
+            for g, c in product.terms.items():
+                parts.setdefault(wctx.deg(g)[:cut], {})[g] = c
+        for key, part in parts.items():
+            part = RingElt(ring, part)
+            if key in buckets:
+                pending, longest = buckets[key]
+                buckets[key] = (pending + part, max(longest, chain + 1))
+            else:
+                heapq.heappush(heap, key)
+                buckets[key] = (part, chain + 1)
+    return S
+
+
 def nov_invert(beta):
     """Certified inverse via the geometric-series decomposition.
 
     Writes beta = (1 - beta_plus) * beta_0 with beta_0 the unique minimal
-    term, accumulates beta_0^-1 * sum beta_plus^m to the truncation, and
-    verifies that beta * gamma - 1 has no term inside the frontier box.
-    The certificate is mandatory; failures raise TruncationInsufficient.
+    term, accumulates beta_0^-1 * S with S = sum beta_plus^m to the
+    truncation, and verifies that beta * gamma - 1 has no term inside the
+    frontier box.  The certificate is mandatory; failures raise
+    TruncationInsufficient.
+
+    S is summed by one sweep (B. H. Neumann's construction).  Pending terms
+    wait in buckets; the least key is popped, added to S and pushed once,
+    times beta_plus and truncated, each product term joining the bucket of
+    its key.  The key is a term's leading degree levels when _sweep_key
+    finds them additive: every push then raises the key, a bucket is
+    complete when popped, and each term of S is multiplied once.  Otherwise
+    it is the chain length m, and bucket m + 1 is trunc(P_m * beta_plus),
+    chain by chain.  m_max caps the beta_plus factors in a chain: bucket
+    m_max is summed and not pushed, and a degree sweep whose buckets mix
+    chain lengths is redone by chain length as soon as one reaches m_max.
     """
     ctx = beta.ctx
     body = beta.body
@@ -235,19 +357,17 @@ def nov_invert(beta):
     beta0_inv = ring.monomial(field.inv(r), group.inv(q))
     one = ring.one()
     beta_plus = one - ring_mul(body, beta0_inv)
+    cut = _sweep_key(ctx, beta_plus)
     # Accumulate the geometric series at a frontier widened by however much
     # multiplying by beta_0^-1 can lower degrees, so that gamma is complete
     # below the stated frontier; gamma itself is not re-truncated (it may
     # carry a band of at-frontier terms, explicit slack from the O-tail).
     deg_inv = ctx.deg(group.inv(q))
     wctx = ctx.with_trunc(ctx.trunc.widened(tuple(-d for d in deg_inv)))
-    S = one
-    P = one
-    for _ in range(ctx.trunc.m_max):
-        P = truncate_elt(wctx, _product_below(wctx, P, beta_plus))
-        if P.is_zero():
-            break
-        S = S + P
+    m_max = ctx.trunc.m_max
+    S = None if cut is None else _geometric_sum(wctx, beta_plus, cut, m_max)
+    if S is None:
+        S = _geometric_sum(wctx, beta_plus, None, m_max)
     gamma = ring_mul(beta0_inv, S)
     # both residuals are checked: elimination multiplies by gamma on either side
     if not beyond_frontier(ctx, _product_below(ctx, body, gamma) - one) or \

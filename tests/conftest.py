@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from nilnov import parse_pc, parse_presentation
@@ -96,3 +99,19 @@ def heisenberg_matrix(word, index):
             for _ in range(e):
                 acc = mul(acc, base)
     return acc
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError once the block has run for `seconds` of wall
+    time, instead of letting a runaway computation hang the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

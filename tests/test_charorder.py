@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ from nilnov import (GroupRing, LexOrder, MultiChar, QQ, fit_character,
                     parse_mchar)
 from nilnov.charorder import format_mchar
 from nilnov.errors import Infeasible
+from nilnov.fracparse import parse_fraction_expr
+
+DATA = pathlib.Path(__file__).parents[1] / "demos" / "data"
 
 
 def rand_elt(rng, G, length=3, emax=3):
@@ -161,6 +165,16 @@ class TestCompatibility:
         order = LexOrder(heis)
         chi = fit_multicharacter([ring.monomial(2, ())], heis, order)
         assert chi.is_zero()
+
+    def test_fit_reads_a_finite_node_by_its_numerator(self, free_class3):
+        # the finite node -d^-2 e / 1 inside a a (2 - e c)^-1 a has one term;
+        # the identity of its denominator constrains no chi_2, so fitting and
+        # the compatibility test agree on the fraction
+        frac = parse_fraction_expr("a a (2 - e c)^-1 (a)", self._ring(free_class3))
+        order = LexOrder(free_class3)
+        chi = fit_multicharacter([frac], free_class3, order)
+        assert is_compatible(chi, frac, order)
+        assert is_compatible(parse_mchar((DATA / "chi_f23.mchar").read_text(), free_class3), frac)
 
     def test_plain_element_is_compatible(self, zgroup):
         # a finite element is a fraction without nodes: every chi fits it

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import time_limit
 from nilnov import (GF, GroupRing, MultiChar, QQ, QuotientMap, Trunc, betti,
                     euler_check, fox_complex, nilpotent_quotient, nov_cohomology,
                     parse_presentation, ring_mul, theorem_f)
@@ -404,6 +405,30 @@ class TestTietzeInvariance:
         for _ in range(8):
             variant, names = tietze_variant(P, rng)
             assert self.verdicts(variant, names["t"]) == expected, variant.relators
+
+    def test_parafree_rotated_relator(self):
+        # P_rot is parafree with its relator rotated.  Pattern -- of its
+        # chi(b) sweep meets a beta_plus term of degree (0,0), whose
+        # geometric series never leaves the box: it must stall, not hang
+        def reports(relator, mchar, patterns):
+            P = parse_presentation(f"group parafree\ngens a b c\nrel {relator}\n")
+            q = nilpotent_quotient(P, 2)
+            chi = parse_mchar(mchar, q.target)
+            cx = fox_complex(P, q, QQ, project=False)
+            return [(r.verdicts, r.stable, r.obstructions) for r in
+                    (nov_cohomology(cx, chi, 2, Trunc([2, 2], 64), signs=signs)
+                     for signs in patterns)]
+
+        plain, rotated = "a^-1 c^-1 a^-1 c a c^-1 b^-1 c b", "c^-1 b c a^-1 c^-1 a c a b^-1"
+        chi_b = (DATA / "chi_parafree_c2.mchar").read_text()
+        with time_limit(5):
+            sweep = reports(rotated, chi_b, sign_patterns(2))
+        assert sweep[0] == reports(plain, chi_b, [[1, 1]])[0]
+        assert sweep[0][:2] == ({0: VANISHES, 1: WITNESS, 2: VANISHES}, True)
+        assert sweep[3][2][2].endswith("beta_plus term of degree (0,0) is not positive")
+        chi_c = "char 0: b=0 c=1\nchar 1: [c,b]=1\n"
+        assert [r[:2] for r in reports(rotated, chi_c, sign_patterns(2))] == \
+            [r[:2] for r in reports(plain, chi_c, sign_patterns(2))]
 
     def test_one_relator_form(self):
         two = parse_presentation((DATA / "mapping_torus.fpg").read_text())

@@ -1,9 +1,11 @@
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from conftest import time_limit
 from nilnov import (GroupRing, LexOrder, MultiChar, NovContext, NovSeries, QQ,
                     Trunc, expand, format_series, frac_invert, nov_invert,
                     nov_mul, parse_pc, parse_presentation, ring_mul,
@@ -11,10 +13,13 @@ from nilnov import (GroupRing, LexOrder, MultiChar, NovContext, NovSeries, QQ,
 from nilnov.errors import (IncompatibleCharacter, MismatchedCharacter,
                            MismatchedGroup, NilnovError, NoStrictMinimum,
                            TruncationInsufficient, UnsupportedFraction)
+from nilnov.charorder import parse_mchar
 from nilnov.fracparse import parse_fraction_expr
 from nilnov.groupring import RingElt, RingOps, read_expr
+from nilnov import novikov
 from nilnov.iterfrac import Node
-from nilnov.novikov import _product_below, beyond_frontier, truncate_elt
+from nilnov.novikov import (_product_below, beyond_frontier, minimal_term,
+                            truncate_elt)
 from nilnov.presentations import nilpotent_quotient
 
 DATA = pathlib.Path(__file__).parents[1] / "demos" / "data"
@@ -245,6 +250,21 @@ class TestNovInvert:
         assert beyond_frontier(ctx, ring_mul(beta.body, gamma.body) - R.one())
         assert beyond_frontier(ctx, ring_mul(gamma.body, beta.body) - R.one())
 
+    def test_each_series_term_is_multiplied_once(self, heis, monkeypatch):
+        # the sweep multiplies every term of S = gamma * beta_0 by beta_plus
+        # once; beta * beta_0^-1, beta_0^-1 * S and the two residuals make
+        # the rest.  The chain-by-chain loop made 27 496 products here.
+        R = GroupRing(heis, QQ)
+        ctx = NovContext(MultiChar(heis, [[1, 1], [1]]), Trunc([12, 16], 64))
+        beta = series_from_elt(ctx, R.parse("1 + a - b + c"))
+        products = []
+        mul = heis.mul
+        monkeypatch.setattr(heis, "mul", lambda g, h: products.append(1) or mul(g, h))
+        gamma = nov_invert(beta).body
+        n, s = len(beta.body.terms), len(gamma.terms)
+        assert (n, s) == (4, 1248)
+        assert len(products) <= (n - 1) * s + 2 * n * s + s + n
+
     def test_laurent_direction(self, zgroup):
         # beta_0 with negative degree: u - 2 under chi(t) = -1
         R = GroupRing(zgroup, QQ)
@@ -294,6 +314,131 @@ class TestInverseStability:
         self.assert_stable(MultiChar(zgroup, [[1]]), Trunc([frontier], 24), R.parse(text))
 
 
+def _chain_loop_inverse(beta):
+    """The reference for nov_invert's sweep: the geometric series summed
+    chain length by chain length, P_{m+1} = trunc(P_m * beta_plus), for at
+    most m_max factors, under the same residual certificates."""
+    ctx, body = beta.ctx, beta.body
+    ring = body.ring
+    group, field = ring.group, ring.field
+    q, r, _ = minimal_term(ctx, body)
+    beta0_inv = ring.monomial(field.inv(r), group.inv(q))
+    one = ring.one()
+    beta_plus = one - ring_mul(body, beta0_inv)
+    wctx = ctx.with_trunc(ctx.trunc.widened(tuple(-d for d in ctx.deg(group.inv(q)))))
+    S = P = one
+    for _ in range(ctx.trunc.m_max):
+        P = truncate_elt(wctx, _product_below(wctx, P, beta_plus))
+        if P.is_zero():
+            break
+        S = S + P
+    gamma = ring_mul(beta0_inv, S)
+    if not beyond_frontier(ctx, _product_below(ctx, body, gamma) - one) or \
+            not beyond_frontier(ctx, _product_below(ctx, gamma, body) - one):
+        raise TruncationInsufficient("residual inside the frontier")
+    return gamma
+
+
+def _outcome(invert, beta):
+    try:
+        return invert(beta)
+    except NilnovError as err:
+        return type(err)
+
+
+def _seeded_units(rng, R, gens, count):
+    """Sums of a scalar and two to four scaled words of length one to three."""
+    for _ in range(count):
+        words = [" ".join(f"{rng.choice(gens)}^{rng.choice((-2, -1, 1, 2))}"
+                          for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(2, 4))]
+        yield R.parse(rng.choice("12") + "".join(
+            f" {rng.choice('+-')} {rng.choice('123')}*{w}" for w in words))
+
+
+class TestSweepAgainstChainLoop:
+    """nov_invert sums its geometric series by one sweep in key order; the
+    chain-by-chain loop it replaced is the reference.  Where the loop
+    certifies, gamma agrees term by term, the band at and beyond the
+    frontier included; where it fails, the sweep fails the same way, except
+    that a beta_plus term of non-positive degree whose powers stay inside
+    the box stalls at once, where the loop fails after m_max factors."""
+
+    def assert_matches(self, ctx, elt):
+        beta = series_from_elt(ctx, elt)
+        if beta.body.is_zero():
+            return None
+        got = _outcome(lambda b: nov_invert(b).body, beta)
+        expected = _outcome(_chain_loop_inverse, beta)
+        if isinstance(got, RingElt) and isinstance(expected, RingElt):
+            assert got.terms == expected.terms, str(elt)
+        elif got is NoStrictMinimum and expected is TruncationInsufficient:
+            with pytest.raises(NoStrictMinimum, match="beta_plus term of degree"):
+                nov_invert(beta)
+        else:
+            assert got is expected, str(elt)
+        return got if isinstance(got, type) else RingElt
+
+    def assert_corpus(self, ctx, R, gens, count, seed):
+        outcomes = Counter(self.assert_matches(ctx, elt) for elt in
+                           _seeded_units(random.Random(seed), R, gens, count))
+        assert outcomes[RingElt] >= count // 4, outcomes
+        return outcomes
+
+    @pytest.mark.parametrize("comps, frontier", [([[1, 1], [1]], (3, 5)),
+                                                 ([[1, 0], [1]], (4, 4)),
+                                                 ([[1, 1], [-1]], (4, 4))])
+    def test_heisenberg_units(self, heis, comps, frontier):
+        ctx = NovContext(MultiChar(heis, comps), Trunc(frontier, 24))
+        self.assert_corpus(ctx, GroupRing(heis, QQ), "abc", 60, str(comps))
+
+    def test_class3_units(self, free_class3):
+        chi = parse_mchar((DATA / "chi_f23.mchar").read_text(), free_class3)
+        ctx = NovContext(chi, Trunc([3, 3, 3], 12))
+        self.assert_corpus(ctx, GroupRing(free_class3, QQ), "abcde", 40, "f23")
+
+    def test_free_words_through_the_quotient(self):
+        P = parse_presentation((DATA / "parafree.fpg").read_text())
+        q = nilpotent_quotient(P, 2)
+        chi = parse_mchar("char 0: b=0 c=1\nchar 1: [c,b]=1", q.target)
+        ctx = NovContext(chi, Trunc([3, 3], 24), q.apply_word)
+        self.assert_corpus(ctx, GroupRing(P.free_group, QQ), "abc", 40, "parafree")
+
+    def test_chain_key(self, heis):
+        # a b^-1 c has degree (0,1) but lies outside G_1: the sweep keys by
+        # chain length, which ends where the loop ends
+        ctx = NovContext(MultiChar(heis, [[1, 1], [1]]), Trunc([3, 5], 64))
+        with time_limit(2):
+            assert self.assert_matches(ctx, GroupRing(heis, QQ).parse("1 + 2*c - a b^-1 c")) \
+                is TruncationInsufficient
+
+    def test_non_positive_term_whose_powers_leave_the_box(self, heis):
+        # beta_plus = -a b^-1 has degree (0,0) under chi (1,1;-1), but
+        # (a b^-1)^m = a^m b^-m c^-binom(m,2) has degree (0, binom(m,2)):
+        # the series leaves the box and the loop certifies
+        ctx = NovContext(MultiChar(heis, [[1, 1], [-1]]), Trunc([4, 4], 64))
+        assert self.assert_matches(ctx, GroupRing(heis, QQ).parse("a b + a^2 c^-1")) is RingElt
+
+    @pytest.mark.parametrize("comps, frontier", [([[1, 1], [1]], (3, 5)),
+                                                 ([[1, 0], [1]], (4, 4)),
+                                                 ([[1, 1], [-1]], (4, 4))])
+    def test_small_m_max(self, heis, monkeypatch, comps, frontier):
+        # with m_max 3 some degree sweeps reach a chain of 3 factors in a
+        # bucket that mixes chain lengths; they are redone by chain length
+        sums = []
+        geometric_sum = novikov._geometric_sum
+        monkeypatch.setattr(novikov, "_geometric_sum",
+                            lambda *args: sums.append(geometric_sum(*args)) or sums[-1])
+        ctx = NovContext(MultiChar(heis, comps), Trunc(frontier, 3))
+        self.assert_corpus(ctx, GroupRing(heis, QQ), "abc", 60, "m_max" + str(comps))
+        assert sums.count(None) > 0
+
+    @pytest.mark.parametrize("frontier, outcome", [(4, RingElt), (64, TruncationInsufficient)])
+    def test_m_max_caps_the_factors_in_a_chain(self, zgroup, frontier, outcome):
+        # m_max 3 sums 1 + t + t^2 + t^3: enough below frontier 4, not below 64
+        ctx = NovContext(MultiChar(zgroup, [[1]]), Trunc([frontier], 3))
+        assert self.assert_matches(ctx, GroupRing(zgroup, QQ).parse("1 - t")) is outcome
+
+
 class TestExpand:
     def test_leaf_passthrough(self, heis):
         R = GroupRing(heis, QQ)
@@ -317,6 +462,16 @@ class TestExpand:
         with pytest.raises(IncompatibleCharacter) as err:
             expand(frac, MultiChar(zgroup, [[0]]), Trunc([5], 10))
         assert err.value.node is not None
+
+    def test_finite_node_expands_under_any_character(self, free_class3):
+        # a a (2 - e c)^-1 a nests the finite level-2 node -d^-2 e / 1: chi_2
+        # maps d^-2 e to 0 like the identity of its denominator, which is no
+        # term of the node, so chi orders the node's one term
+        R = GroupRing(free_class3, QQ)
+        chi = parse_mchar((DATA / "chi_f23.mchar").read_text(), free_class3)
+        res = expand(parse_fraction_expr("a a (2 - e c)^-1 (a)", R), chi, Trunc([3, 3, 3], 64))
+        assert format_series(res) == \
+            "1/2*a^3 + 1/4*a^3 c d e + 1/8*a^3 c^2 d^2 e^2 + O(3,3,3)"
 
     def test_nested_fraction(self, heis):
         R = GroupRing(heis, QQ)
@@ -507,7 +662,8 @@ class TestExpandAgainstTruncatedArithmetic:
     CASES = [("heis.pcg", [[1, 0], [1]], (4, 4), 60, ["c (1 - c)^-1", "(1 - a)^-1 a"]),
              ("heis.pcg", [[1, 1], [1]], (4, 4), 60, ["(1 + a b)^-1 (2 - c)^-1"]),
              ("f23.pcg", [[1, 2], [1], [1, 2]], (3, 3, 3), 40,
-              ["(1 - a c)^-1", "(1 - d)^-1 a c", "e (1 + b c)^-1"])]
+              ["(1 - a c)^-1", "(1 - d)^-1 a c", "e (1 + b c)^-1",
+               "a a (2 - e c)^-1 (a)"])]
 
     @pytest.mark.parametrize("pcg, comps, frontier, count, fixed", CASES)
     def test_positive_corpus(self, pcg, comps, frontier, count, fixed):
