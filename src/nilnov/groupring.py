@@ -1,10 +1,11 @@
 """Sparse group-ring arithmetic over exact fields, for two group backends.
 
 The pc backend multiplies group parts by collection; the free backend (words
-in a finitely generated free group) multiplies by concatenation with free
-reduction.  Free words are finite representatives of elements of any group
-the free group maps onto, which is how the homology module computes over a
-presented group without normal forms.
+in a finitely generated free group) multiplies reduced words by reducing
+only the junction, where a suffix of one meets a prefix of the other.  Free
+words are finite representatives of elements of any group the free group
+maps onto, which is how the homology module computes over a presented group
+without normal forms.
 """
 
 from .errors import MismatchedField, MismatchedGroup, ParseError, UnknownGenerator
@@ -73,7 +74,30 @@ class FreeGroup(WordSyntax):
         return tuple(out)
 
     def mul(self, a, b):
-        return self.collect(list(a) + list(b))
+        """Product of two reduced words.
+
+        Both factors must be reduced, as every caller's are: relators and
+        parsed words are collected, fox_derivative builds its prefixes with
+        mul, and products and inverses of reduced words are reduced.  Then
+        only a suffix of a and a prefix of b can cancel, so the junction is
+        walked until a pair of syllables does not cancel in full, and the
+        rest is copied by slicing.
+        """
+        if not a:
+            return b
+        if not b:
+            return a
+        i, j, n = len(a), 0, len(b)
+        while i and j < n:
+            g, e = a[i - 1]
+            h, f = b[j]
+            if g != h:
+                break
+            if e + f:
+                return a[:i - 1] + ((g, e + f),) + b[j + 1:]
+            i -= 1
+            j += 1
+        return a[:i] + b[j:]
 
     def inv(self, a):
         return tuple((g, -e) for g, e in reversed(a))
@@ -141,14 +165,8 @@ class RingElt:
 
     def __add__(self, other):
         self._check(other)
-        field = self.ring.field
         terms = dict(self.terms)
-        for g, cf in other.terms.items():
-            s = field.add(terms.get(g, field.zero), cf)
-            if field.is_zero(s):
-                terms.pop(g, None)
-            else:
-                terms[g] = s
+        add_into(self.ring.field, terms, other.terms)
         return RingElt(self.ring, terms)
 
     def __neg__(self):
@@ -187,6 +205,19 @@ class RingElt:
 
     def __repr__(self):
         return format_ring_elt(self)
+
+
+def add_into(field, terms, other):
+    """terms += other on term dicts, in place; other's coefficients are
+    nonzero, as every RingElt's are."""
+    for g, c in other.items():
+        old = terms.get(g)
+        if old is not None:
+            c = field.add(old, c)
+            if field.is_zero(c):
+                del terms[g]
+                continue
+        terms[g] = c
 
 
 def ring_mul(x, y):

@@ -26,7 +26,7 @@ from .errors import (CertificateFailure, IncompatibleCharacter,
                      MismatchedCharacter, MismatchedGroup, NoStrictMinimum,
                      TruncationInsufficient)
 from .fields import QQ
-from .groupring import RingElt, format_ring_elt, ring_mul
+from .groupring import RingElt, add_into, format_ring_elt, ring_mul
 
 DEFAULT_M_MAX = 64
 DEFAULT_FRONTIER_ENTRY = 8
@@ -295,22 +295,27 @@ def _check_divergence(ctx, beta_plus, h):
 def _geometric_sum(wctx, beta_plus, cut, m_max):
     """S = sum beta_plus^m truncated to wctx, swept by the key of
     _sweep_key (cut leading degree levels, or the chain length for None);
-    None when a degree sweep reaches a chain of m_max factors."""
+    None when a degree sweep reaches a chain of m_max factors.
+
+    S and the pending buckets are term dicts that the sweep owns: each
+    popped bucket and each product part is added into them in place, so no
+    pop copies S."""
     ring = beta_plus.ring
+    field = ring.field
     start = 0 if cut is None else (0,) * cut
-    buckets = {start: (ring.one(), 0)}  # key -> (pending terms, longest chain)
+    buckets = {start: (ring.one().terms, 0)}  # key -> (pending terms, longest chain)
     heap = [start]
-    S = ring.zero()
+    S = {}
     while heap:
         bucket, chain = buckets.pop(heapq.heappop(heap))
-        if bucket.is_zero():
+        if not bucket:
             continue
         if chain == m_max and cut is not None:
             return None
-        S = S + bucket
+        add_into(field, S, bucket)
         if chain == m_max:
             continue
-        product = truncate_elt(wctx, _product_below(wctx, bucket, beta_plus))
+        product = truncate_elt(wctx, _product_below(wctx, RingElt(ring, bucket), beta_plus))
         if cut is None:
             parts = {chain + 1: product.terms}
         else:
@@ -318,14 +323,14 @@ def _geometric_sum(wctx, beta_plus, cut, m_max):
             for g, c in product.terms.items():
                 parts.setdefault(wctx.deg(g)[:cut], {})[g] = c
         for key, part in parts.items():
-            part = RingElt(ring, part)
             if key in buckets:
                 pending, longest = buckets[key]
-                buckets[key] = (pending + part, max(longest, chain + 1))
+                add_into(field, pending, part)
+                buckets[key] = (pending, max(longest, chain + 1))
             else:
                 heapq.heappush(heap, key)
                 buckets[key] = (part, chain + 1)
-    return S
+    return RingElt(ring, S)
 
 
 def nov_invert(beta):

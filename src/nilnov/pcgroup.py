@@ -12,8 +12,9 @@ with strictly increasing indices.  Collection from the left computes them.
 When every tail is central (no tail uses a generator that occurs in a
 relation with a nonempty tail; class <= 2, as for H3 and the class-2
 quotients of nq), the product of two normal forms has a closed form and
-`mul` computes it without collecting; see `PcGroup.mul`.  Any other group
-multiplies by collection.
+`mul` computes it without collecting; see `PcGroup.mul`.  `collect` folds
+any word into its normal form by the same rule, letter by letter.  Any
+other group collects by the generic loop and multiplies by collection.
 """
 
 from . import intlinalg
@@ -139,7 +140,30 @@ class PcGroup(WordSyntax):
         return image
 
     def collect(self, word):
-        """Normal form of a word (iterable of (gen_index, exponent))."""
+        """Normal form of a word (iterable of (gen_index, exponent)).
+
+        With every tail central the word is folded letter by letter into an
+        exponent vector v: appending g_i^y to the normal form with exponents
+        v moves g_i^y left past each g_j^(v_j), j > i, which leaves the
+        central w_(j,i)^(v_j y); so v_i gains y and v gains v_j y w_(j,i) for
+        each row (j, w_(j,i)) of i.  This is the rule of `mul`, exact for any
+        word.  Any other group collects from the left: the least generator
+        is moved to the front, conjugating the syllables it passes.
+        """
+        rows = self._tails_by_x
+        if rows is not None:
+            v = [0] * self.ngens
+            for i, y in word:
+                # no j in a row is central and tails touch only central
+                # generators, so v[j] is the sum of g_j's exponents so far
+                for j, w in rows[i]:
+                    x = v[j]
+                    if x:
+                        xy = x * y
+                        for g, t in w:
+                            v[g] += xy * t
+                v[i] += y
+            return tuple([(g, e) for g, e in enumerate(v) if e])
         syls = [(g, e) for g, e in word if e]
         out = []
         while syls:

@@ -23,3 +23,15 @@ def test_series_h3_trace_counts_the_series_loop():
     metrics = result["metrics"]
     assert metrics["novikov.nov_invert.series_iters"]["value"] > 0
     assert metrics["novikov.truncate.terms_kept"]["value"] > 0
+
+
+def test_criterion_corpus_trace_sees_the_degree_path():
+    # free-word products no longer call FreeGroup.collect, so the free-word
+    # degree path shows up in the tracer through QuotientMap.apply_word
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "criterion-corpus", "--seed", "1",
+         "--seconds", "0.5", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["metrics"]["presentations.apply_word.calls"]["value"] > 0

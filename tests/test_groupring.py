@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilnov import GF, GroupRing, MultiChar, QQ, augment, ring_mul
+from nilnov import FreeGroup, GF, GroupRing, MultiChar, QQ, augment, ring_mul
 from nilnov.errors import MismatchedField, MismatchedGroup, ParseError
 from nilnov.fracparse import parse_fraction_expr
 from nilnov.groupring import RingElt, format_ring_elt
@@ -170,3 +170,66 @@ class TestAugment:
             x, y = rand_ring_elt(rng, R), rand_ring_elt(rng, R)
             assert augment(ring_mul(x, y)) == augment(x) * augment(y)
             assert augment(x + y) == augment(x) + augment(y)
+
+
+class TestFreeJunctionProduct:
+    """FreeGroup.mul reduces only where two reduced words meet; reducing
+    the whole concatenation with collect is the reference."""
+
+    F = FreeGroup("abc")
+
+    def reduced_word(self, rng, length):
+        return self.F.collect([(rng.randrange(3), rng.choice((-2, -1, 1, 2)))
+                               for _ in range(length)])
+
+    def word(self, text):
+        return self.F.collect(self.F.parse_word(text))
+
+    def assert_product(self, a, b):
+        F = self.F
+        assert F.collect(a) == a and F.collect(b) == b, "factors must be reduced"
+        ab = F.mul(a, b)
+        assert ab == F.collect(a + b), (a, b)
+        assert F.collect(ab) == ab
+
+    def test_seeded_pairs_with_cancelling_junctions(self):
+        rng = random.Random(18)
+        F = self.F
+        for _ in range(400):
+            a = self.reduced_word(rng, rng.randint(0, 8))
+            # b starts with the inverse of a suffix of a, so the junction
+            # cancels for a random depth before the rest of b follows
+            cut = rng.randint(0, len(a))
+            b = F.mul(F.inv(a[cut:]), self.reduced_word(rng, rng.randint(0, 8)))
+            self.assert_product(a, b)
+            self.assert_product(b, a)
+
+    def test_full_cancellation(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            u = self.reduced_word(rng, rng.randint(1, 10))
+            assert self.F.mul(u, self.F.inv(u)) == ()
+            assert self.F.mul(self.F.inv(u), u) == ()
+
+    def test_cancellation_through_the_shorter_factor(self):
+        F = self.F
+        u, v = self.word("a b^2 c^-1"), self.word("b a^-1")
+        self.assert_product(u + v, F.inv(v))
+        assert F.mul(u + v, F.inv(v)) == u
+        self.assert_product(F.inv(u), u + v)
+        assert F.mul(F.inv(u), u + v) == v
+
+    def test_merge_stops_at_a_nonzero_exponent(self):
+        F = self.F
+        a, b = self.word("a b c^2"), self.word("c^-3 b a")
+        self.assert_product(a, b)
+        assert F.mul(a, b) == ((0, 1), (1, 1), (2, -1), (1, 1), (0, 1))
+        # after a full cancellation the next pair merges
+        a, b = self.word("a b^3 c"), self.word("c^-1 b^-1 a")
+        assert F.mul(a, b) == ((0, 1), (1, 2), (0, 1))
+
+    def test_empty_factors(self):
+        F = self.F
+        u = self.word("a^2 c^-1")
+        assert F.mul((), u) == u == F.mul(u, ())
+        assert F.mul((), ()) == ()

@@ -17,7 +17,7 @@ from nilnov.charorder import parse_mchar
 from nilnov.fracparse import parse_fraction_expr
 from nilnov.groupring import RingElt, RingOps, read_expr
 from nilnov import novikov
-from nilnov.iterfrac import Node
+from nilnov.iterfrac import Node, nodes
 from nilnov.novikov import (_product_below, beyond_frontier, minimal_term,
                             truncate_elt)
 from nilnov.presentations import nilpotent_quotient
@@ -437,6 +437,72 @@ class TestSweepAgainstChainLoop:
         # m_max 3 sums 1 + t + t^2 + t^3: enough below frontier 4, not below 64
         ctx = NovContext(MultiChar(zgroup, [[1]]), Trunc([frontier], 3))
         assert self.assert_matches(ctx, GroupRing(zgroup, QQ).parse("1 - t")) is outcome
+
+
+class TestSweepOwnsItsDicts:
+    """_geometric_sum adds into S and its pending buckets in place, so every
+    dict it adds into must be its own: the inverted body, beta_plus and the
+    leaves of an expanded fraction keep their terms, and neither the sum
+    nor the returned gamma is a dict that was pending as a bucket."""
+
+    def spy(self, monkeypatch):
+        sweeps, current = [], []
+        geometric_sum, product_below = novikov._geometric_sum, novikov._product_below
+
+        def sweep(wctx, beta_plus, cut, m_max):
+            record = {"beta_plus": beta_plus, "before": dict(beta_plus.terms), "buckets": []}
+            current.append(record)
+            try:
+                record["sum"] = geometric_sum(wctx, beta_plus, cut, m_max)
+            finally:
+                current.pop()
+            sweeps.append(record)
+            return record["sum"]
+
+        def product(ctx, x, y):
+            # inside a sweep x is always a bucket; outside, it is a certificate
+            if current:
+                current[-1]["buckets"].append(x.terms)
+            return product_below(ctx, x, y)
+
+        monkeypatch.setattr(novikov, "_geometric_sum", sweep)
+        monkeypatch.setattr(novikov, "_product_below", product)
+        return sweeps
+
+    def assert_owned(self, sweeps, results):
+        assert sweeps
+        buckets = [b for rec in sweeps for b in rec["buckets"]]
+        for rec in sweeps:
+            assert rec["beta_plus"].terms == rec["before"]
+            assert all(b is not rec["beta_plus"].terms for b in buckets)
+            if rec["sum"] is not None:
+                assert all(b is not rec["sum"].terms for b in buckets)
+        for result in results:
+            assert all(b is not result.terms for b in buckets)
+
+    def test_nov_invert(self, heis, monkeypatch):
+        R = GroupRing(heis, QQ)
+        sweeps = self.spy(monkeypatch)
+        for comps, frontier in [([[1, 1], [1]], (12, 16)), ([[1, 1], [-1]], (4, 4))]:
+            ctx = NovContext(MultiChar(heis, comps), Trunc(frontier, 64))
+            for elt in _seeded_units(random.Random(str(comps)), R, "abc", 20):
+                beta = series_from_elt(ctx, elt)
+                body = dict(beta.body.terms)
+                gamma = _outcome(nov_invert, beta)
+                assert beta.body.terms == body
+                self.assert_owned(sweeps, [gamma.body] if isinstance(gamma, NovSeries) else [])
+
+    def test_expand(self, heis, monkeypatch):
+        R = GroupRing(heis, QQ)
+        chi = MultiChar(heis, [[1, 0], [1]])
+        frac = parse_fraction_expr("(1 - (2 + c)^-1 a b)^-1", R)
+        leaves = [coeff for node in nodes(frac) for coeff, _ in node.alpha + node.beta
+                  if isinstance(coeff, RingElt)]
+        before = [dict(x.terms) for x in leaves]
+        sweeps = self.spy(monkeypatch)
+        res = expand(frac, chi, Trunc([3, 4], 16))
+        assert [x.terms for x in leaves] == before
+        self.assert_owned(sweeps, [res.body])
 
 
 class TestExpand:

@@ -7,7 +7,7 @@ from nilnov import (Subgroup, free_abelianization_refine, isolator, lower_centra
                     nilpotent_quotient, parse_pc, parse_presentation)
 from nilnov.errors import AdaptationError, ParseError, UnknownGenerator
 
-from conftest import F23_SRC, heisenberg_matrix
+from conftest import F23_SRC, Z3_SRC, heisenberg_matrix
 
 
 def rand_word(rng, gens, length, emax=3):
@@ -249,6 +249,7 @@ def class_two_groups():
         "F2_class2": nilpotent_quotient(f2, 2).target,
         "parafree_class2": nilpotent_quotient(parafree, 2).target,
         "W": parse_pc(WIDE_SRC),
+        "Z3": parse_pc(Z3_SRC),
     }
 
 
@@ -264,9 +265,39 @@ def count_collections(monkeypatch, G):
     return calls
 
 
+def generic_collect(G, word):
+    """Collection from the left, as PcGroup.collect runs it when some tail is
+    not central: the reference for its closed form.  The least generator
+    moves to the front and conjugates each syllable it passes."""
+    syls = [(g, e) for g, e in word if e]
+    out = []
+    while syls:
+        m = min(g for g, _ in syls)
+        e_total, rest = 0, []
+        for g, e in syls:
+            if g == m:
+                if rest:
+                    rest = [s for z, t in rest for s in G._conj_syllable(z, t, m, e)]
+                e_total += e
+            else:
+                rest.append((g, e))
+        if e_total:
+            out.append((m, e_total))
+        syls = rest
+    return tuple(out)
+
+
+def count_conjugations(monkeypatch, G):
+    calls = []
+    conj = G._conj_syllable
+    monkeypatch.setattr(G, "_conj_syllable", lambda *args: calls.append(1) or conj(*args))
+    return calls
+
+
 class TestClassTwoProduct:
     """With every tail central, mul adds exponent vectors plus the tails
-    x_j y_i w_(j,i) instead of collecting; collection is the oracle."""
+    x_j y_i w_(j,i) instead of collecting; the generic collection loop is
+    the oracle."""
 
     @pytest.mark.parametrize("name", sorted(class_two_groups()))
     def test_matches_collection_and_associates(self, name, monkeypatch):
@@ -277,7 +308,7 @@ class TestClassTwoProduct:
         products = [G.mul(u, v) for u, v in zip(elts, elts[1:])]
         assert not calls, "a class-2 product went through collect"
         for u, v, uv in zip(elts, elts[1:], products):
-            assert uv == G.collect(list(u) + list(v)), (name, u, v)
+            assert uv == generic_collect(G, list(u) + list(v)), (name, u, v)
         for u, v, w in zip(elts, elts[1:], elts[2:]):
             assert G.mul(G.mul(u, v), w) == G.mul(u, G.mul(v, w))
             assert G.mul(u, ()) == u == G.mul((), u)
@@ -300,6 +331,32 @@ class TestClassTwoProduct:
         u, v = (random_normal_form(rng, G, 50) for _ in range(2))
         calls = count_collections(monkeypatch, G)
         G.mul(u, v)
+        assert calls
+
+
+class TestClassTwoCollection:
+    """With every tail central, collect folds a word letter by letter into
+    an exponent vector; the generic collection loop is the reference."""
+
+    @pytest.mark.parametrize("name", sorted(class_two_groups()))
+    def test_matches_generic_collection(self, name, monkeypatch):
+        G = class_two_groups()[name]
+        rng = random.Random(name)
+        words = [[(rng.randrange(G.ngens), rng.randint(-50, 50))
+                  for _ in range(rng.randint(0, 12))] for _ in range(150)]
+        expected = [generic_collect(G, w) for w in words]
+        calls = count_conjugations(monkeypatch, G)
+        for w, nf in zip(words, expected):
+            assert G.collect(w) == nf, (name, w)
+        assert not calls, "a class-2 word went through the generic loop"
+
+    def test_class_three_collects_generically(self, free_class3, monkeypatch):
+        G = free_class3
+        rng = random.Random(23)
+        words = [rand_word(rng, list(range(G.ngens)), 8, emax=6) for _ in range(60)]
+        expected = [generic_collect(G, w) for w in words]
+        calls = count_conjugations(monkeypatch, G)
+        assert [G.collect(w) for w in words] == expected
         assert calls
 
 
