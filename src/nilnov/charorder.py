@@ -16,6 +16,7 @@ from math import gcd
 from . import iterfrac
 from .errors import Infeasible, MismatchedGroup, ParseError, UnknownGenerator
 from .fields import QQ, parse_rational
+from .groupring import read_indexed, read_lines
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -280,23 +281,12 @@ def failing_node(chi, frac, order=None):
 # -- .mchar text format ---------------------------------------------------
 
 def parse_mchar(text, group):
-    """Parse 'char <i>: <gen>=<rational> ...' lines into a MultiChar."""
+    """Parse 'char <i>: <gen>=<rational> ...' lines, at most one per level,
+    into a MultiChar; a generator no line assigns reads 0."""
     comps = [[Fraction(0)] * len(group.level_gens[i]) for i in range(group.nlevels)]
     seen = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not line.startswith("char"):
-            raise ParseError(f"unrecognized line {line!r}", ln)
-        head, _, body = line.partition(":")
-        parts = head.split()
-        if len(parts) != 2:
-            raise ParseError("expected 'char <i>: <gen>=<rational> ...'", ln)
-        try:
-            lvl = int(parts[1])
-        except ValueError:
-            raise ParseError(f"bad level {parts[1]!r}", ln)
+    for ln, _, rest in read_lines(text, ("char",)):
+        lvl, body = read_indexed(rest, "char <i>: <gen>=<rational> ...", ln)
         if not 0 <= lvl < group.nlevels:
             raise ParseError(f"level {lvl} out of range", ln)
         if lvl in seen:
@@ -312,14 +302,9 @@ def parse_mchar(text, group):
             if name in assigned:
                 raise ParseError(f"generator {name!r} assigned twice", ln)
             assigned.add(name)
-            gi = group.index[name]
-            if group.levels[gi] != lvl:
+            if name not in group.level_gens[lvl]:
                 raise ParseError(f"generator {name} is not at level {lvl}", ln)
-            base = group.index[group.level_gens[lvl][0]]
-            try:
-                comps[lvl][gi - base] = parse_rational(val)
-            except ParseError as e:
-                raise ParseError(str(e), ln)
+            comps[lvl][group.level_gens[lvl].index(name)] = parse_rational(val, ln)
     return MultiChar(group, comps)
 
 

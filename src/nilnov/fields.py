@@ -158,12 +158,12 @@ def rank(rows, field):
     return rk
 
 
-def parse_rational(tok):
-    """'p/q' or integer literal -> Fraction; ParseError when the token is
-    malformed or its denominator is zero."""
+def parse_rational(tok, line=None):
+    """'p/q' or integer literal -> Fraction; ParseError, naming `line` when
+    given, when the token is malformed or its denominator is zero."""
     try:
         return Fraction(tok)
     except ValueError:
-        raise ParseError(f"bad rational {tok!r}")
+        raise ParseError(f"bad rational {tok!r}", line)
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {tok!r}")
+        raise ParseError(f"zero denominator in {tok!r}", line)

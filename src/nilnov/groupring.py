@@ -31,6 +31,39 @@ def parse_word(text, index, line=None):
     return word
 
 
+def read_lines(text, keywords, once=()):
+    """(line number, keyword, rest) for each non-blank line of the .pcg,
+    .fpg and .mchar formats, '#' comments removed.  The keyword is the first
+    token and must be one of `keywords` exactly; one in `once` may appear
+    only once.  `rest` is the stripped text after the keyword."""
+    seen = set()
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        keyword, *rest = line.split(None, 1)
+        if keyword not in keywords:
+            raise ParseError(f"unknown keyword {keyword!r} (expected "
+                             f"{' or '.join(map(repr, keywords))})", ln)
+        if keyword in seen:
+            raise ParseError(f"second {keyword!r} line", ln)
+        if keyword in once:
+            seen.add(keyword)
+        yield ln, keyword, rest[0] if rest else ""
+
+
+def read_indexed(rest, usage, line):
+    """(i, body) of a '<keyword> <i>: <body>' line, from the `rest` that
+    read_lines yields; `usage` is the form named in the syntax error."""
+    head, _, body = rest.partition(":")
+    if len(head.split()) != 1:
+        raise ParseError(f"expected {usage!r}", line)
+    try:
+        return int(head), body
+    except ValueError:
+        raise ParseError(f"bad level index {head.strip()!r}", line)
+
+
 class WordSyntax:
     """Word text and generators, shared by both group backends: elements are
     tuples of (generator index, exponent) syllables over `gen_names`, whose

@@ -367,8 +367,7 @@ def nov_invert(beta):
     # multiplying by beta_0^-1 can lower degrees, so that gamma is complete
     # below the stated frontier; gamma itself is not re-truncated (it may
     # carry a band of at-frontier terms, explicit slack from the O-tail).
-    deg_inv = ctx.deg(group.inv(q))
-    wctx = ctx.with_trunc(ctx.trunc.widened(tuple(-d for d in deg_inv)))
+    wctx = widened_context(ctx, [beta0_inv])
     m_max = ctx.trunc.m_max
     S = None if cut is None else _geometric_sum(wctx, beta_plus, cut, m_max)
     if S is None:

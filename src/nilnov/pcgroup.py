@@ -19,7 +19,7 @@ other group collects by the generic loop and multiplies by collection.
 
 from . import intlinalg
 from .errors import AdaptationError, ClassUnsupported, ParseError, UnknownGenerator
-from .groupring import WordSyntax, parse_word
+from .groupring import WordSyntax, parse_word, read_indexed, read_lines
 
 Elt = tuple  # ((gen_index, exponent), ...) in normal form
 
@@ -276,49 +276,38 @@ class PcGroup(WordSyntax):
 
 
 def parse_pc(text):
-    """Parse the .pcg format; see the package README for the grammar."""
+    """Parse the .pcg format (grammar in the package README): one 'pcgroup'
+    line, 'level <i>: <gen> ...' lines in order of i, and 'conj' lines."""
     name = None
     level_names = []
     conj_src = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("pcgroup"):
-            parts = line.split()
-            if len(parts) != 2:
+    for ln, keyword, rest in read_lines(text, ("pcgroup", "level", "conj"), once=("pcgroup",)):
+        if keyword == "pcgroup":
+            if len(rest.split()) != 1:
                 raise ParseError("expected 'pcgroup <name>'", ln)
-            name = parts[1]
-        elif line.startswith("level"):
-            head, _, gens = line.partition(":")
-            parts = head.split()
-            if len(parts) != 2 or not gens.strip():
-                raise ParseError("expected 'level <i>: <gen> ...'", ln)
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad level index {parts[1]!r}", ln)
+            name = rest
+        elif keyword == "level":
+            idx, gens = read_indexed(rest, "level <i>: <gen> ...", ln)
             if idx != len(level_names):
                 raise ParseError(f"levels must appear in order; got {idx}", ln)
+            if not gens.split():
+                raise ParseError(f"level {idx} lists no generators", ln)
             level_names.append(gens.split())
-        elif line.startswith("conj"):
-            conj_src.append((ln, line))
         else:
-            raise ParseError(f"unrecognized line {line!r}", ln)
+            conj_src.append((ln, rest))
     if name is None:
         raise ParseError("missing 'pcgroup <name>' header")
     if not level_names:
         raise ParseError("no generator levels declared")
 
-    flat = [g for lvl in level_names for g in lvl]
-    index = {g: i for i, g in enumerate(flat)}
+    index = {g: i for i, g in enumerate(sum(level_names, []))}
     tails = {}
-    for ln, line in conj_src:
-        head, _, tail = line.partition("=")
+    for ln, rest in conj_src:
+        head, _, tail = rest.partition("=")
         parts = head.split()
-        if len(parts) != 3:
+        if len(parts) != 2:
             raise ParseError("expected 'conj <y> <x> = <word>'", ln)
-        _, yname, xname = parts
+        yname, xname = parts
         for nm in (yname, xname):
             if nm not in index:
                 raise UnknownGenerator(f"unknown generator {nm!r}", ln)

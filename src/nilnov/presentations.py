@@ -16,7 +16,7 @@ have a quotient with torsion.
 from . import intlinalg
 from .errors import ClassUnsupported, ParseError, RelatorNotKilled
 from .fields import QQ
-from .groupring import FreeGroup, GroupRing, dot, parse_word
+from .groupring import FreeGroup, GroupRing, dot, parse_word, read_lines
 from .pcgroup import PcGroup, Subgroup, isolator
 
 
@@ -35,35 +35,28 @@ class Presentation:
 
 
 def parse_presentation(text):
-    """Parse the .fpg format: group/gens/rel lines, '#' comments."""
+    """Parse the .fpg format: at most one 'group <name>' line (the name is G
+    without one), one 'gens <gen> ...' line, then 'rel <word>' lines."""
     name = "G"
     gens = None
     relators = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "group":
-            if len(parts) != 2:
+    for ln, keyword, rest in read_lines(text, ("group", "gens", "rel"), once=("group", "gens")):
+        if keyword == "group":
+            if len(rest.split()) != 1:
                 raise ParseError("expected 'group <name>'", ln)
-            name = parts[1]
-        elif parts[0] == "gens":
-            if gens is not None:
-                raise ParseError("duplicate gens line", ln)
-            if len(parts) < 2:
+            name = rest
+        elif keyword == "gens":
+            gens = rest.split()
+            if not gens:
                 raise ParseError("gens line lists no generators", ln)
-            gens = parts[1:]
             index = {g: i for i, g in enumerate(gens)}
             if len(index) < len(gens):
                 dup = next(g for i, g in enumerate(gens) if index[g] != i)
                 raise ParseError(f"generator {dup!r} listed twice", ln)
-        elif parts[0] == "rel":
-            if gens is None:
-                raise ParseError("rel before gens", ln)
-            relators.append(parse_word(" ".join(parts[1:]), index, ln))
+        elif gens is None:
+            raise ParseError("rel before gens", ln)
         else:
-            raise ParseError(f"unrecognized line {line!r}", ln)
+            relators.append(parse_word(rest, index, ln))
     if gens is None:
         raise ParseError("missing gens line")
     return Presentation(name, gens, relators)

@@ -157,6 +157,26 @@ F2XF2 = pathlib.Path(__file__).parent / "data" / "f2xf2.fpg"
 CHI_F2XF2 = pathlib.Path(__file__).parent / "data" / "chi_f2xf2.mchar"
 
 
+def pcg(text):
+    """A .pcg file with this text, to collect in; test_bad_input_is_an_error
+    writes it out and passes its path."""
+    return ["collect", (".pcg", text), "1"]
+
+
+def mchar(text):
+    """A .mchar file with this text, read over H3."""
+    return ["nov-invert", "--group", str(DATA / "heis.pcg"), "--char", (".mchar", text), "1 - a"]
+
+
+def fpg(text):
+    """A .fpg file with this text, for betti."""
+    return ["betti", (".fpg", text)]
+
+
+PCG_KEYWORDS = "(expected 'pcgroup' or 'level' or 'conj')"
+FPG_KEYWORDS = "(expected 'group' or 'gens' or 'rel')"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["nov-invert", *Z, "1 - t", "--field", "F4"], "field 'F4': 4 is not prime"),
     (["nov-invert", *Z, "1 - t", "--frontier", "x"],
@@ -190,6 +210,44 @@ CHI_F2XF2 = pathlib.Path(__file__).parent / "data" / "chi_f2xf2.mchar"
      "line 1: generator 't' assigned twice"),
     (["theorem-f", str(F2XF2), "--quotient", "c1", "--char", str(CHI_F2XF2), "-d", "1"],
      "degree 1 is not the top degree 2 of this complex"),
+    (pcg("pcgroup\nlevel 0: a\n"), "line 1: expected 'pcgroup <name>'"),
+    (pcg("pcgroup x\nlevel 0 a\n"), "line 2: expected 'level <i>: <gen> ...'"),
+    (pcg("pcgroup x\nlevel one: a\n"), "line 2: bad level index 'one'"),
+    (pcg("pcgroup x\nlevel 1: a\n"), "line 2: levels must appear in order; got 1"),
+    (pcg("pcgroup x\nlevel 0:  # none\n"), "line 2: level 0 lists no generators"),
+    (pcg("level 0: a\n"), "missing 'pcgroup <name>' header"),
+    (pcg("# only a name\npcgroup x\n"), "no generator levels declared"),
+    (pcg("pcgroup x\nlevel 0: a b\nconj b = a\n"), "line 3: expected 'conj <y> <x> = <word>'"),
+    (pcg("pcgroup x\nlevel 0: a b\nlevel 1: c\nconj a b = c\n"),
+     "line 4: 'conj a b': b must come earlier"),
+    (pcg("pcgroup x\nlevel 0: a b\nlevel 1: c\nconj b a = c\nconj b a = c^-1\n"),
+     "line 5: duplicate relation for (b,a)"),
+    (pcg("pcgroup x\nlevel 0: a b\nlevel 1: a\n"), "duplicate generator name"),
+    (pcg("pcgroup x\nlevel 0: a b\nlevel 1: c\nconj b a = c^0\n"),
+     "zero exponent in relation tail"),
+    (mchar("level 0: a=1\n"), "line 1: unknown keyword 'level' (expected 'char')"),
+    (mchar("char 0 a=1\n"), "line 1: expected 'char <i>: <gen>=<rational> ...'"),
+    (mchar("char x: a=1\n"), "line 1: bad level index 'x'"),
+    (mchar("char 2: a=1\n"), "line 1: level 2 out of range"),
+    (mchar("char 0: a=1\nchar 0: b=1\n"), "line 2: duplicate char line for level 0"),
+    (mchar("char 0: a b=1\n"), "line 1: expected <gen>=<rational>, got 'a'"),
+    (mchar("char 0: x=1\n"), "line 1: unknown generator 'x'"),
+    (mchar("char 0: a=1 c=1\n"), "line 1: generator c is not at level 0"),
+    (fpg("group\ngens a\n"), "line 1: expected 'group <name>'"),
+    (fpg("gens a\ngens b\n"), "line 2: second 'gens' line"),
+    (fpg("group g\ngens\n"), "line 2: gens line lists no generators"),
+    (fpg("gens a\nrelator a\n"), f"line 2: unknown keyword 'relator' {FPG_KEYWORDS}"),
+    (fpg("group g\n"), "missing gens line"),
+    (fpg("gens a b\nrel a b b^-1 a^-1\n"), "trivial relator after free reduction"),
+    (fpg("gens a\nrel a^x\n"), "line 2: bad exponent in token 'a^x'"),
+    (pcg("pcgroups H3\nlevel 0: a b\n"), f"line 1: unknown keyword 'pcgroups' {PCG_KEYWORDS}"),
+    (pcg("pcgroup H3\nlevels 0: a b\n"), f"line 2: unknown keyword 'levels' {PCG_KEYWORDS}"),
+    (pcg("pcgroup H3\nlevel 0: a b\nlevel 1: c\nconjugate b a = c\n"),
+     f"line 4: unknown keyword 'conjugate' {PCG_KEYWORDS}"),
+    (mchar("chars 0: a=1 b=0\n"), "line 1: unknown keyword 'chars' (expected 'char')"),
+    (mchar("char 0: a=1 b=0\ncharm 1: c=1\n"), "line 2: unknown keyword 'charm' (expected 'char')"),
+    (pcg("pcgroup H3\npcgroup Z\nlevel 0: a\n"), "line 2: second 'pcgroup' line"),
+    (fpg("group f\ngroup g\ngens a\n"), "line 2: second 'group' line"),
 ], ids=["field", "frontier", "frontier-zero-denominator", "mmax",
         "nov-h-frontier-zero", "theorem-f-frontier-negative",
         "mchar-zero-denominator", "literal-zero-denominator", "literal-outside-field",
@@ -197,8 +255,25 @@ CHI_F2XF2 = pathlib.Path(__file__).parent / "data" / "chi_f2xf2.mchar"
         "expand-invert-zero-sum", "nov-h-degree-above", "nov-h-degree-below",
         "nov-h-zero-multicharacter", "fit-char-wrong-rank", "fit-char-rank-below-1",
         "nov-h-sign-character", "fpg-duplicate-generator", "mchar-generator-assigned-twice",
-        "theorem-f-degree-below-top"])
-def test_bad_input_is_an_error(capsys, argv, message):
+        "theorem-f-degree-below-top",
+        "pcg-header-syntax", "pcg-level-syntax", "pcg-bad-level-index", "pcg-levels-out-of-order",
+        "pcg-empty-level", "pcg-missing-header", "pcg-no-levels", "pcg-conj-syntax",
+        "pcg-conj-order", "pcg-duplicate-conj", "pcg-duplicate-generator", "pcg-zero-tail-exponent",
+        "mchar-unknown-keyword", "mchar-header-syntax", "mchar-bad-level",
+        "mchar-level-out-of-range", "mchar-duplicate-level", "mchar-missing-equals",
+        "mchar-unknown-generator", "mchar-generator-at-wrong-level",
+        "fpg-group-syntax", "fpg-second-gens", "fpg-empty-gens", "fpg-unknown-keyword",
+        "fpg-missing-gens", "fpg-trivial-relator", "fpg-bad-exponent",
+        "pcg-keyword-pcgroups", "pcg-keyword-levels", "pcg-keyword-conjugate",
+        "mchar-keyword-chars", "mchar-keyword-charm", "pcg-second-header", "fpg-second-header"])
+def test_bad_input_is_an_error(capsys, tmp_path, argv, message):
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, tuple):  # (suffix, text) of an input file
+            suffix, text = arg
+            path = tmp_path / f"input{suffix}"
+            path.write_text(text)
+            argv[i] = str(path)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
