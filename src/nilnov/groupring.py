@@ -55,8 +55,8 @@ def read_lines(text, keywords, once=()):
 def read_indexed(rest, usage, line):
     """(i, body) of a '<keyword> <i>: <body>' line, from the `rest` that
     read_lines yields; `usage` is the form named in the syntax error."""
-    head, _, body = rest.partition(":")
-    if len(head.split()) != 1:
+    head, colon, body = rest.partition(":")
+    if not colon or len(head.split()) != 1:
         raise ParseError(f"expected {usage!r}", line)
     try:
         return int(head), body

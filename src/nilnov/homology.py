@@ -16,16 +16,19 @@ Exact vanishing for one-level characters.  With one level the degree is a
 real valuation v on the group ring: v(xy) >= v(x) + v(y), and an element
 whose minimal degree is attained by one term c g alone is a Novikov unit,
 (c g (1 - y))^-1 = (1 + y + y^2 + ...) g^-1 c^-1 with v(y) > 0.  The
-elimination records its d2-stage row operations in L and all of its P1
-base changes in A.  Their multipliers are finite ring elements (entries
-times truncated pivot inverses), so every operation is exact and
-invertible over the group ring, and T = L d2 A is d2 in other bases.
-`pivot_block_is_unit` recomputes T from cx.d2 (not from M2, whose used
-rows skip later P1 updates) and checks, for each d2 pivot (r_k, c_k), that
-T[r_k][c_k] has a unique minimal-degree term, of degree v_k, and that every
-other entry T[r_k][c_j] on a pivot column has all of its terms of degree
-> v_k.  The pivot block is then B = U (I + N), with U the diagonal of
-units T[r_k][c_k] and every entry of N = U^-1 (B - U) of valuation at
+elimination applies each d2-stage row operation to every column of M2,
+and each P1 base change to every row of M2 and to A, which accumulates
+them.  Their multipliers are finite ring elements (entries times
+truncated pivot inverses), so every operation is exact and invertible
+over the group ring.  With L the product of the row operations (never
+stored), M2 = L d2 A, which is d2 in other bases, apart from column i0 of
+the d1 pivot: `_check_consumed_column` certifies that column and zeroes
+it, and no pivot lies on it.  `pivot_block_is_unit` reads M2 and checks,
+for each d2 pivot (r_k, c_k), that M2[r_k][c_k] has a unique
+minimal-degree term, of degree v_k, and that every other entry
+M2[r_k][c_j] on a pivot column has all of its terms of degree > v_k.
+The pivot block is then B = U (I + N), with U the diagonal of units
+M2[r_k][c_k] and every entry of N = U^-1 (B - U) of valuation at
 least some eps > 0, so B is invertible by the convergent series
 sum (-N)^m (the standard unit argument; see Kielak, "The Bieri-Neumann-
 Strebel invariants via Newton polytopes", Invent. Math. 219, 2020).
@@ -46,10 +49,11 @@ failed certificate, each vanishing verdict holds over the Novikov ring:
 The truncated pivot inverses, and the frontier widening of
 `novikov.widened_context` that decides how far they are expanded, do not
 enter this argument: they only choose the multipliers of exact row and
-column operations, and the certificate reads T itself.  On free words the
-check is sound too: the degrees of a free-group-ring element's words bound
-the degrees of its image in the presented group's ring from below, and a
-unique minimal free word stays a unique minimal term there.
+column operations, and the certificate reads the pivot block itself.  On
+free words the check is sound too: the degrees of a free-group-ring
+element's words bound the degrees of its image in the presented group's
+ring from below, and a unique minimal free word stays a unique minimal
+term there.
 `nov_cohomology` marks a report whose verdict at its degree vanishes under
 this check `exact`, and makes no re-run for it.  With two or more levels
 the box frontier is not a valuation bound (a term beyond the box can be
@@ -63,7 +67,7 @@ import itertools
 from .errors import (DimensionMismatch, InconsistentReport, MismatchedCharacter,
                      MismatchedGroup, NoStrictMinimum, TruncationInsufficient)
 from .fields import QQ, rank
-from .groupring import augment, dot, ring_mul
+from .groupring import augment, ring_mul
 from .novikov import (NovContext, NovSeries, beyond_frontier, format_degree,
                       minimal_term, nov_invert, widened_context)
 from .presentations import fox_complex
@@ -154,7 +158,7 @@ class _Elimination:
     All matrix arithmetic is exact on finite bodies (only the pivot
     inverses are truncated series); every clearing step is certified
     against the frontier, so a completed sweep is a truncation-sound
-    diagonalization, and L and A record it exactly.  M1 is d1 as an
+    diagonalization, and M2 and A hold it exactly.  M1 is d1 as an
     r1 x 1 matrix, so both stages share one pivot chooser, one clearing
     step and one P1 base change.  A missing pivot or a failed certificate
     ends the stage with a stall.
@@ -167,12 +171,10 @@ class _Elimination:
         self.ctx = NovContext(chi, trunc, None if cx.projected else cx.qmap.apply_word)
         self.M1 = [[e] for e in cx.d1]
         self.M2 = [list(row) for row in cx.d2]
-        r1, r2 = cx.ranks[1], cx.ranks[2]
+        r1 = cx.ranks[1]
         one, zero = cx.ring.one(), cx.ring.zero()
         # accumulated P1 base change A (original = A * final coordinates)
         self.A = [[one if i == j else zero for j in range(r1)] for i in range(r1)]
-        # accumulated d2-stage row operations L (final rows = L * original rows)
-        self.L = [[one if i == j else zero for j in range(r2)] for i in range(r2)]
         self.rank1 = 0
         self.pivots2 = []           # d2 pivots (row, column), in elimination order
         self.consumed_cols = set()
@@ -225,27 +227,24 @@ class _Elimination:
         return [r for r in range(len(self.M2)) if r not in used]
 
     def _p1(self, dst, src, x):
-        """P1 base change: column dst += column src * x, on the unused rows
-        of M2 and on A."""
-        for row in [self.M2[r] for r in self._unused_rows()] + self.A:
+        """P1 base change: column dst += column src * x, on M2 and on A."""
+        for row in self.M2 + self.A:
             row[dst] = row[dst] + ring_mul(row[src], x)
 
-    def _clear_column(self, step, M, rows, r0, c0, pinv, cols, p1):
+    def _clear_column(self, step, M, rows, r0, c0, pinv, p1):
         """Clear column c0 of M on `rows` off the pivot (r0, c0) by the row
-        operations row_r -= (M[r][c0] pinv) row_r0 on `cols`; with `p1`,
-        each is mirrored by its inverse on the P1 basis, without it each is
-        recorded in L.  None, or the first stall."""
+        operations row_r -= (M[r][c0] pinv) row_r0 on every column; with
+        `p1`, each is mirrored by its inverse on the P1 basis.  None, or the
+        first stall."""
         for r in rows:
             row = M[r]
             if r == r0 or beyond_frontier(self.ctx, row[c0]):
                 continue
             f = ring_mul(row[c0], pinv)
-            for j in cols:
-                row[j] = row[j] - ring_mul(f, M[r0][j])
+            for j, y in enumerate(M[r0]):
+                row[j] = row[j] - ring_mul(f, y)
             if p1:
                 self._p1(r0, r, f)
-            else:
-                self.L[r] = [x - ring_mul(f, y) for x, y in zip(self.L[r], self.L[r0])]
             stall = self._certify(step, r, c0, row[c0])
             if stall:
                 return stall
@@ -261,7 +260,7 @@ class _Elimination:
             return not stuck  # without a stall, d1 is certified zero
         _, i0, pinv = pivot
         self.stall1 = (self._clear_column("clearing", self.M1, range(len(self.M1)),
-                                          i0, 0, pinv, [0], True)
+                                          i0, 0, pinv, True)
                        or self._check_consumed_column(i0, pinv))
         if self.stall1:
             self.certified = False
@@ -299,7 +298,7 @@ class _Elimination:
                 return not stuck  # without a stall, the residual block is certified zero
             c0, r0, pinv = pivot
             self.stall2 = (self._clear_column("column clearing", self.M2, rows,
-                                              r0, c0, pinv, cols, False)
+                                              r0, c0, pinv, False)
                            or self._clear_row(r0, c0, pinv, cols))
             if self.stall2:
                 self.certified = False
@@ -323,29 +322,26 @@ class _Elimination:
     def vanishing_is_exact(self):
         """True when the completed elimination proves its vanishing verdicts
         over the Novikov ring itself (see the module docstring)."""
-        return (self.ctx.chi.group.nlevels == 1 and self.certified
+        return (self.ctx.chi.group.nlevels == 1
                 and self.stall1 is None and self.stall2 is None
-                and pivot_block_is_unit(self.ctx, self.L, self.cx.d2, self.A, self.pivots2))
+                and pivot_block_is_unit(self.ctx, self.M2, self.pivots2))
 
     def witness_cocycle(self, column):
         """The degree-1 witness: original coordinates of the final basis covector."""
         return [self.A[r][column] for r in range(len(self.A))]
 
 
-def pivot_block_is_unit(ctx, L, d2, A, pivots):
-    """Whether the pivot block of T = L d2 A, recomputed exactly, is a
-    diagonal of units times I + (positive valuation): each pivot entry
-    T[r_k][c_k] has a unique minimal-degree term, of degree v_k, and every
-    other entry T[r_k][c_j] on a pivot column has all of its terms of
-    degree > v_k."""
+def pivot_block_is_unit(ctx, T, pivots):
+    """Whether the pivot block of the matrix T is a diagonal of units times
+    I + (positive valuation): each pivot entry T[r_k][c_k] has a unique
+    minimal-degree term, of degree v_k, and every other entry T[r_k][c_j]
+    on a pivot column has all of its terms of degree > v_k."""
     for r, c in pivots:
-        row = [dot(L[r], [d2_row[b] for d2_row in d2]) for b in range(len(A))]
-        entries = {cj: dot(row, [a_row[cj] for a_row in A]) for _, cj in pivots}
         try:
-            _, _, v = minimal_term(ctx, entries[c])
+            _, _, v = minimal_term(ctx, T[r][c])
         except NoStrictMinimum:
             return False
-        if any(ctx.deg(g) <= v for cj, t in entries.items() if cj != c for g in t.terms):
+        if any(ctx.deg(g) <= v for _, cj in pivots if cj != c for g in T[r][cj].terms):
             return False
     return True
 

@@ -303,9 +303,9 @@ def parse_pc(text):
     index = {g: i for i, g in enumerate(sum(level_names, []))}
     tails = {}
     for ln, rest in conj_src:
-        head, _, tail = rest.partition("=")
+        head, equals, tail = rest.partition("=")
         parts = head.split()
-        if len(parts) != 2:
+        if not equals or len(parts) != 2:
             raise ParseError("expected 'conj <y> <x> = <word>'", ln)
         yname, xname = parts
         for nm in (yname, xname):

@@ -248,6 +248,9 @@ FPG_KEYWORDS = "(expected 'group' or 'gens' or 'rel')"
     (mchar("char 0: a=1 b=0\ncharm 1: c=1\n"), "line 2: unknown keyword 'charm' (expected 'char')"),
     (pcg("pcgroup H3\npcgroup Z\nlevel 0: a\n"), "line 2: second 'pcgroup' line"),
     (fpg("group f\ngroup g\ngens a\n"), "line 2: second 'group' line"),
+    (mchar("char 0\nchar 1: c=1\n"), "line 1: expected 'char <i>: <gen>=<rational> ...'"),
+    (pcg("pcgroup H3\nlevel 0: a b\nlevel 1: c\nconj b a\n"),
+     "line 4: expected 'conj <y> <x> = <word>'"),
 ], ids=["field", "frontier", "frontier-zero-denominator", "mmax",
         "nov-h-frontier-zero", "theorem-f-frontier-negative",
         "mchar-zero-denominator", "literal-zero-denominator", "literal-outside-field",
@@ -265,7 +268,8 @@ FPG_KEYWORDS = "(expected 'group' or 'gens' or 'rel')"
         "fpg-group-syntax", "fpg-second-gens", "fpg-empty-gens", "fpg-unknown-keyword",
         "fpg-missing-gens", "fpg-trivial-relator", "fpg-bad-exponent",
         "pcg-keyword-pcgroups", "pcg-keyword-levels", "pcg-keyword-conjugate",
-        "mchar-keyword-chars", "mchar-keyword-charm", "pcg-second-header", "fpg-second-header"])
+        "mchar-keyword-chars", "mchar-keyword-charm", "pcg-second-header", "fpg-second-header",
+        "mchar-missing-colon", "pcg-conj-missing-equals"])
 def test_bad_input_is_an_error(capsys, tmp_path, argv, message):
     argv = list(argv)
     for i, arg in enumerate(argv):
@@ -283,6 +287,23 @@ def test_sign_excludes_sweep(capsys):
     code, out, err = run(capsys, *BS12, "--sign", "+", "--sweep")
     assert code == 1 and out == ""
     assert err.startswith("error: argument --sweep: not allowed with argument --sign\n")
+
+
+def test_d1_stall_leaves_d2_running(capsys, tmp_path):
+    # chi is zero on level 0 of F2's class-2 quotient, so each d1 entry
+    # g - 1 has two terms of minimal degree (0,0) and d1 stalls; H^0 and H^1
+    # are inconclusive, while d2 (F2 has no relators) still runs
+    chi = tmp_path / "chi.mchar"
+    chi.write_text("char 0: a=0 b=0\nchar 1: [b,a]=1\n")
+    code, out, _ = run(capsys, "nov-h", str(DATA / "f2.fpg"), "--quotient", "c2", "-d", "1",
+                       "--frontier", "2", "--sweep", "--char", str(chi))
+    assert code == 2
+    stall = "inconclusive (h=?) obstruction=d1: no invertible entry in d1"
+    expected = []
+    for p in ("++", "+-", "-+", "--"):
+        expected += [f"H^0 [{p}]: {stall}", f"H^1 [{p}]: {stall}",
+                     f"H^2 [{p}]: vanishes-at-truncation (h=0)", f"verdict {p} 1 inconclusive 2,2"]
+    assert [line for line in out.splitlines() if not line.startswith("#")] == expected
 
 
 PARAFREE_C2 = ["nov-h", str(DATA / "parafree.fpg"), "--char", str(DATA / "chi_parafree_c2.mchar"),

@@ -7,9 +7,11 @@ from conftest import time_limit
 from nilnov import (GF, GroupRing, MultiChar, QQ, QuotientMap, Trunc, betti,
                     euler_check, fox_complex, nilpotent_quotient, nov_cohomology,
                     parse_presentation, ring_mul, theorem_f)
+from nilnov import homology
 from nilnov.charorder import parse_mchar
 from nilnov.errors import (DimensionMismatch, InconsistentReport,
                            MismatchedCharacter, MismatchedGroup)
+from nilnov.groupring import dot
 from nilnov.homology import (CD_DROP, INCONCLUSIVE, OBSTRUCTION, VANISHES,
                              WITNESS, _Elimination, _run_elimination,
                              pivot_block_is_unit, sign_patterns)
@@ -150,22 +152,57 @@ class TestNovCohomology:
         assert reports[0].alternating_sum() is not None
         assert euler_check(cx, reports)
 
-    def test_failed_d1_certificate_skips_d2(self, torus, monkeypatch):
+    @pytest.mark.parametrize("step,where", [("clearing", "row 1, column 0"),
+                                            ("column check", "row 0, column 0")],
+                             ids=["clearing", "column-check"])
+    def test_failed_d1_certificate_skips_d2(self, torus, monkeypatch, step, where):
+        # either d1 step may fail: clearing d1 itself, or the check of the
+        # consumed column of d2 that follows it
         certify = _Elimination._certify
 
-        def fail_d1_clearing(self, step, r, c, residual):
-            if step == "clearing":
-                return f"clearing failed its certificate at row {r}, column {c}"
-            return certify(self, step, r, c, residual)
+        def fail_d1_step(self, at_step, r, c, residual):
+            if at_step == step:
+                return f"{step} failed its certificate at row {r}, column {c}"
+            return certify(self, at_step, r, c, residual)
 
-        monkeypatch.setattr(_Elimination, "_certify", fail_d1_clearing)
+        monkeypatch.setattr(_Elimination, "_certify", fail_d1_step)
         q = nilpotent_quotient(torus, 1)
         cx = fox_complex(torus, q, QQ, project=False)
         elim, report = _run_elimination(cx, MultiChar(q.target, [[1, 0]]), Trunc([8], 48))
-        assert elim.rank2 == 0 and elim.stall2 is None
-        stall = "d1: clearing failed its certificate at row 1, column 0"
+        assert elim.rank1 == 0 and elim.rank2 == 0 and elim.stall2 is None
+        stall = f"d1: {step} failed its certificate at {where}"
         assert report.verdicts == {0: INCONCLUSIVE, 1: INCONCLUSIVE, 2: INCONCLUSIVE}
         assert report.obstructions == {0: stall, 1: stall, 2: stall}
+
+
+def matmul(X, Y):
+    """The product of two matrices of ring elements."""
+    return [[dot(row, [y[j] for y in Y]) for j in range(len(Y[0]))] for row in X]
+
+
+class RecordingElimination(_Elimination):
+    """An elimination that also records its d2-stage row operations in L
+    (final rows = L * original rows).  Each row operation of a column
+    clearing is certified right after it is applied, so `_certify` records
+    it, with the multiplier `_clear_column` computes from the entry before."""
+
+    def __init__(self, cx, chi, trunc):
+        super().__init__(cx, chi, trunc)
+        one, zero = cx.ring.one(), cx.ring.zero()
+        r2 = cx.ranks[2]
+        self.L = [[one if i == j else zero for j in range(r2)] for i in range(r2)]
+        self.multipliers = {}
+
+    def _clear_column(self, step, M, rows, r0, c0, pinv, p1):
+        if M is self.M2:
+            self.multipliers = {r: (r0, ring_mul(M[r][c0], pinv)) for r in rows}
+        return super()._clear_column(step, M, rows, r0, c0, pinv, p1)
+
+    def _certify(self, step, r, c, residual):
+        if step == "column clearing":
+            r0, f = self.multipliers[r]
+            self.L[r] = [x - ring_mul(f, y) for x, y in zip(self.L[r], self.L[r0])]
+        return super()._certify(step, r, c, residual)
 
 
 class TestExactCertificate:
@@ -178,9 +215,7 @@ class TestExactCertificate:
 
     @staticmethod
     def _unit_block(ring, ctx, d2):
-        one, zero = ring.one(), ring.zero()
-        identity = [[one, zero], [zero, one]]
-        return pivot_block_is_unit(ctx, identity, d2, identity, [(0, 0), (1, 1)])
+        return pivot_block_is_unit(ctx, d2, [(0, 0), (1, 1)])
 
     @pytest.mark.parametrize("off,accepted", [
         ("t^-1", False), ("1", False), ("2 - t^3", False), ("t", True), ("t^2 - 3 t^5", True),
@@ -203,33 +238,59 @@ class TestExactCertificate:
         ring, ctx = laurent
         one, zero, t = ring.one(), ring.zero(), ring.parse("t")
         d2 = [[one, t], [one, ring.parse("2 t - 1")]]
-        identity = [[one, zero], [zero, one]]
         L = [[one, zero], [-one, one]]
         A = [[one, -t], [zero, one]]
         pivots = [(0, 0), (1, 1)]
-        assert pivot_block_is_unit(ctx, L, d2, A, pivots)
-        assert pivot_block_is_unit(ctx, L, d2, identity, pivots)
-        assert not pivot_block_is_unit(ctx, identity, d2, A, pivots)
-        assert not pivot_block_is_unit(ctx, identity, d2, identity, pivots)
+        assert pivot_block_is_unit(ctx, matmul(matmul(L, d2), A), pivots)
+        assert pivot_block_is_unit(ctx, matmul(L, d2), pivots)
+        assert not pivot_block_is_unit(ctx, matmul(d2, A), pivots)
+        assert not pivot_block_is_unit(ctx, d2, pivots)
 
-    @pytest.mark.parametrize("signs", [[1], [-1]])
-    def test_recorded_operations_reproduce_the_pivots(self, mapping_torus, signs):
-        # L d2 A, multiplied out from the original d2, equals the eliminated
-        # matrix on every pivot entry: the pivot column is never a later P1
-        # target and the pivot row takes no later row operation
-        q = nilpotent_quotient(mapping_torus, 1)
-        cx = fox_complex(mapping_torus, q, QQ, project=False)
-        chi = MultiChar(q.target, [[1]]).with_signs(signs)
-        elim, _ = _run_elimination(cx, chi, Trunc([6], 48))
-
-        def matmul(X, Y):
-            return [[sum((ring_mul(row[k], Y[k][j]) for k in range(len(Y))), cx.ring.zero())
-                     for j in range(len(Y[0]))] for row in X]
-
+    @pytest.mark.parametrize("group,cls,chi,frontier,signs", [
+        ("mapping_torus", 1, [[1]], [6], [1]),
+        ("mapping_torus", 1, [[1]], [6], [-1]),
+        ("torus", 1, [[1, -2]], [6], [1]),
+        ("torus", 1, [[1, -2]], [6], [-1]),
+        ("bs12", 1, [[1]], [6], [1]),
+        ("bs12", 1, [[1]], [6], [-1]),
+        (DATA / "parafree.fpg", 1, DATA / "chi_parafree_c.mchar", [4], [1]),
+        (DATA / "parafree.fpg", 1, DATA / "chi_parafree_c.mchar", [4], [-1]),
+        (DATA / "parafree.fpg", 2, DATA / "chi_parafree_c2.mchar", [2, 2], [1, 1]),
+        (DATA / "parafree.fpg", 2, DATA / "chi_parafree_c2.mchar", [2, 2], [1, -1]),
+        (DATA / "parafree.fpg", 2, DATA / "chi_parafree_c2.mchar", [2, 2], [-1, 1]),
+        (DATA / "parafree.fpg", 2, DATA / "chi_parafree_c2.mchar", [2, 2], [-1, -1]),
+        (TEST_DATA / "f2xf2.fpg", 1, [[1, 2, -1, 1]], [4], [1]),
+        (TEST_DATA / "f2xf2.fpg", 1, [[1, 2, -1, 1]], [4], [-1]),
+        (TEST_DATA / "commutators.fpg", 1, [[0, 1, 1, 0]], [3], [1]),
+        (TEST_DATA / "commutators.fpg", 1, [[0, 1, 1, 0]], [3], [-1]),
+    ], ids=["mapping_torus+", "mapping_torus-", "torus+", "torus-", "bs12+", "bs12-",
+            "parafree_c1+", "parafree_c1-", "parafree_c2++", "parafree_c2+-",
+            "parafree_c2-+", "parafree_c2--", "f2xf2+", "f2xf2-", "commutators+",
+            "commutators-"])
+    def test_eliminated_matrix_is_l_d2_a(self, request, monkeypatch,
+                                         group, cls, chi, frontier, signs):
+        # M2 equals L d2 A, with L the recorded row operations, on every
+        # entry outside the consumed d1 column, at each stall too; so the
+        # pivot block that pivot_block_is_unit reads is d2 in other bases.
+        # F2 x F2 applies row operations after a d2 pivot column is consumed,
+        # and in `commutators` a P1 base change reaches a used pivot row
+        P = (parse_presentation(group.read_text()) if isinstance(group, pathlib.Path)
+             else request.getfixturevalue(group))
+        q = nilpotent_quotient(P, cls)
+        cx = fox_complex(P, q, QQ, project=False)
+        mchar = (parse_mchar(chi.read_text(), q.target) if isinstance(chi, pathlib.Path)
+                 else MultiChar(q.target, chi))
+        monkeypatch.setattr(homology, "_Elimination", RecordingElimination)
+        elim, _ = _run_elimination(cx, mchar.with_signs(signs), Trunc(frontier, 48))
+        assert isinstance(elim, RecordingElimination)
         T = matmul(matmul(elim.L, cx.d2), elim.A)
-        assert elim.L[1][0] != cx.ring.zero() or elim.L[0][1] != cx.ring.zero()
-        assert elim.rank2 == 2
-        assert all(T[r][c] == elim.M2[r][c] for r, c in elim.pivots2)
+        d1_column = elim.consumed_cols - {c for _, c in elim.pivots2}
+        assert len(d1_column) == elim.rank1
+        assert all(elim.M2[r][c] == T[r][c] for r in range(len(T))
+                   for c in range(len(T[r])) if c not in d1_column)
+        if group == "mapping_torus":
+            assert elim.L[1][0] != cx.ring.zero() or elim.L[0][1] != cx.ring.zero()
+            assert elim.rank2 == 2
 
     @pytest.mark.parametrize("name,chi,degree,patterns", [
         ("torus", [[1, 0]], 2, ([1], [-1])),

@@ -1,13 +1,16 @@
 """No dead symbols: every public module-level function or class of the package,
-and every public method of its public classes, is used.
+and every public method of its public classes, is used, and every parameter of
+every function is read.
 
 A public symbol of `src/nilnov/<m>.py` is used when it is called or otherwise
 referenced in its own module, when another module of the package imports it
 (`from .m import name`) or reads it as `m.name`, or when it is listed in
 `nilnov.__all__`.  A public method (not a dunder) is used when an attribute
-of that name is referenced anywhere in the package.  Symbols that only tests
-call belong in the tests.  The check reads the source with `ast`, so names
-inside strings and comments do not count.
+of that name is referenced anywhere in the package.  A named parameter other
+than `self`, `cls` or a `_`-prefixed one is read when its name is loaded
+somewhere in the function's body.  Symbols that only tests call belong in the
+tests.  The check reads the source with `ast`, so names inside strings and
+comments do not count.
 """
 
 import ast
@@ -84,3 +87,25 @@ def test_every_public_method_is_used():
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
             and node.name not in attributes]
     assert dead == []
+
+
+def _parameters(func):
+    args = func.args
+    named = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+    return [a.arg for a in named if a.arg not in ("self", "cls") and not a.arg.startswith("_")]
+
+
+def test_every_parameter_is_read():
+    # a parameter that the body never reads is dead: its callers pass it for
+    # nothing.  A read inside a nested function counts; lambdas are checked too
+    unread = []
+    for module, tree in _modules().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = func.body if isinstance(func.body, list) else [func.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            name = getattr(func, "name", "<lambda>")
+            unread += [f"{module}.{name}({p})" for p in _parameters(func) if p not in read]
+    assert unread == []
