@@ -23,8 +23,8 @@ q = nilpotent_quotient(mt, 1)
 chi = MultiChar(q.target, [[1]])
 verdict = theorem_f(mt, q, chi, 2, Trunc([8], 48))
 print("mapping torus, degree 2, full sweep:")
-for label, rep in zip(verdict.patterns, verdict.reports):
-    print(f"  pattern {label}: {rep.verdicts[2]} (stable={rep.stable})")
+for rep in verdict.reports:
+    print(f"  pattern {rep.pattern}: {rep.verdicts[2]} (stable={rep.stable})")
 print("conclusion:", verdict.conclusion)
 print()
 
@@ -36,8 +36,8 @@ Z = free_abelian_group(["u"])
 onto_z = QuotientMap(f2, Z, [Z.generator(0), ()])
 verdict = theorem_f(f2, onto_z, MultiChar(Z, [[1]]), 1, Trunc([8], 48))
 print("F_2 onto Z, degree 1:")
-for label, rep in zip(verdict.patterns, verdict.reports):
-    print(f"  pattern {label}: {rep.verdicts[1]}; witness {rep.witnesses.get(1)}")
+for rep in verdict.reports:
+    print(f"  pattern {rep.pattern}: {rep.verdicts[1]}; witness {rep.witnesses.get(1)}")
 print("conclusion:", verdict.conclusion)
 print()
 

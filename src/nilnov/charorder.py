@@ -14,7 +14,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import iterfrac
-from .errors import Infeasible, MismatchedGroup, ParseError, UnknownGenerator
+from .errors import (Infeasible, MismatchedCharacter, MismatchedGroup, ParseError,
+                     UnknownGenerator)
 from .fields import QQ, parse_rational
 from .groupring import read_indexed, read_lines
 
@@ -52,6 +53,9 @@ class MultiChar:
 
     def with_signs(self, signs):
         """Componentwise sign flip; signs is a list of +1/-1 per level."""
+        if len(signs) != len(self.components) or any(s not in (1, -1) for s in signs):
+            raise MismatchedCharacter(f"expected one sign +1 or -1 per level "
+                                      f"({len(self.components)} in all), got {list(signs)}")
         comps = [[s * v for v in comp]
                  for s, comp in zip(signs, self.components)]
         return MultiChar(self.group, comps)

@@ -15,7 +15,7 @@ from .fields import field_by_name, parse_rational
 from .fracparse import parse_fraction_expr
 from .groupring import GroupRing, ring_mul
 from .homology import (INCONCLUSIVE, betti, euler_check, nov_cohomology,
-                       pattern_label, sign_patterns, theorem_f)
+                       pattern_label, sign_patterns, theorem_f, top_degree)
 from .novikov import (DEFAULT_FRONTIER_ENTRY, NovContext, Trunc, expand,
                       format_series, nov_invert, series_from_elt)
 from .pcgroup import free_abelianization_refine, lower_central_series, parse_pc
@@ -246,17 +246,18 @@ def _theorem_f(args):
     qmap = _quotient_for(P, args.quotient)
     chi = parse_mchar(_read(args.char), qmap.target)
     trunc = _trunc(args, qmap.target.nlevels)
-    verdict = theorem_f(P, qmap, chi, args.degree, trunc, field=args.field)
+    degree = top_degree(P) if args.degree is None else args.degree
+    verdict = theorem_f(P, qmap, chi, degree, trunc, field=args.field)
     fr = str(trunc)
     out = _header("theorem-f", {
         "presentation": P.name, "field": args.field.name, "frontier": fr,
-        "m_max": trunc.m_max, "degree": args.degree, "pattern": "sweep",
+        "m_max": trunc.m_max, "degree": degree, "pattern": "sweep",
     })
-    for label, rep in zip(verdict.patterns, verdict.reports):
+    for rep in verdict.reports:
         stable = "" if rep.stable is None else f" (stable={rep.stable})"
-        out.append(f"pattern {label}: H^{args.degree} {rep.verdicts[args.degree]}{stable}")
-    for label, rep in zip(verdict.patterns, verdict.reports):
-        out.append(f"verdict {label} {args.degree} {rep.verdicts[args.degree]} {fr}")
+        out.append(f"pattern {rep.pattern}: H^{degree} {rep.verdicts[degree]}{stable}")
+    for rep in verdict.reports:
+        out.append(f"verdict {rep.pattern} {degree} {rep.verdicts[degree]} {fr}")
     out.append(f"conclusion: {verdict.conclusion}")
     return out, 0 if verdict.conclusion != INCONCLUSIVE else 2
 
@@ -289,9 +290,6 @@ def _parser():
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument("--field", default="Q", type=field_by_name,
                        help="coefficient field: Q or F<p>")
-    degree = argparse.ArgumentParser(add_help=False)
-    degree.add_argument("--degree", "-d", type=int, default=2)
-
     p = sub.add_parser("collect", help="normal form of a word")
     p.add_argument("group")
     p.add_argument("word")
@@ -351,9 +349,10 @@ def _parser():
     p.add_argument("presentation")
     p.set_defaults(run=_betti)
 
-    p = sub.add_parser("nov-h", parents=[char, trunc, field, degree],
+    p = sub.add_parser("nov-h", parents=[char, trunc, field],
                        help="Novikov cohomology verdicts")
     p.add_argument("presentation")
+    p.add_argument("--degree", "-d", type=int, default=2)
     p.add_argument("--quotient", default="c1")
     signs = p.add_mutually_exclusive_group()
     signs.add_argument("--sign", help="sign pattern, one + or - per level, as in --sign=+- "
@@ -362,9 +361,11 @@ def _parser():
     p.add_argument("--entries", default="free", choices=["free", "projected"])
     p.set_defaults(run=_nov_h)
 
-    p = sub.add_parser("theorem-f", parents=[char, trunc, field, degree],
+    p = sub.add_parser("theorem-f", parents=[char, trunc, field],
                        help="top-degree sign-sweep criterion")
     p.add_argument("presentation")
+    p.add_argument("--degree", "-d", type=int,
+                   help="the top degree of the presentation complex (the default)")
     p.add_argument("--quotient", default="self")
     p.set_defaults(run=_theorem_f)
 

@@ -59,7 +59,9 @@ this check `exact`, and makes no re-run for it.  With two or more levels
 the box frontier is not a valuation bound (a term beyond the box can be
 lex-smaller than a pivot), so those verdicts, like every witness, stay "at
 truncation" and are re-run at a doubled frontier for `stable`.  An
-inconclusive verdict asserts nothing, so it is not re-run.
+inconclusive verdict asserts nothing, so it is not re-run.  The re-run
+checks one verdict, the one at `degree`: it formats no witness cocycle,
+since witnesses belong to the report that `nov_cohomology` returns.
 """
 
 import itertools
@@ -119,8 +121,7 @@ class RankReport:
 
 
 class CriterionVerdict:
-    def __init__(self, patterns, reports, conclusion):
-        self.patterns = patterns
+    def __init__(self, reports, conclusion):
         self.reports = reports
         self.conclusion = conclusion
 
@@ -326,10 +327,6 @@ class _Elimination:
                 and self.stall1 is None and self.stall2 is None
                 and pivot_block_is_unit(self.ctx, self.M2, self.pivots2))
 
-    def witness_cocycle(self, column):
-        """The degree-1 witness: original coordinates of the final basis covector."""
-        return [self.A[r][column] for r in range(len(self.A))]
-
 
 def pivot_block_is_unit(ctx, T, pivots):
     """Whether the pivot block of the matrix T is a diagonal of units times
@@ -347,7 +344,7 @@ def pivot_block_is_unit(ctx, T, pivots):
 
 
 def _run_elimination(cx, chi, trunc):
-    """One elimination at one truncation, and the report it certifies.
+    """One elimination at one truncation, and its verdicts and obstructions.
 
     A failed d1 certificate leaves M2 half transformed, so d2 does not run
     and every degree is inconclusive with the d1 obstruction."""
@@ -370,7 +367,6 @@ def _run_elimination(cx, chi, trunc):
             report.verdicts[d] = VANISHES
         else:
             report.verdicts[d] = WITNESS
-            report.witnesses[d] = _describe_witness(cx, elim, d)
     return elim, report
 
 
@@ -383,8 +379,7 @@ def _describe_witness(cx, elim, degree):
     cols = [c for c in range(cx.ranks[1]) if c not in elim.consumed_cols]
     parts = []
     for c in cols:
-        vec = elim.witness_cocycle(c)
-        comps = [f"e{r}*[{x}]" for r, x in enumerate(vec) if not x.is_zero()]
+        comps = [f"e{r}*[{row[c]}]" for r, row in enumerate(elim.A) if not row[c].is_zero()]
         parts.append("col %d: %s" % (c, " + ".join(comps) if comps else "0"))
     return "; ".join(parts)
 
@@ -394,20 +389,23 @@ def nov_cohomology(cx, chi, degree, trunc, signs=None):
 
     `signs` flips multicharacter components (the +-chi sweep).  A vanishing
     verdict at `degree` whose elimination passes the exact certificate is
-    marked exact and stable.  An inconclusive verdict asserts nothing, so
-    it is not re-run and `stable` stays None.  Every other
-    verdict at `degree` is re-computed at a doubled frontier and the
-    stability flag records whether it survived.
+    marked exact and stable.  An inconclusive verdict asserts nothing, so it
+    is not re-run and `stable` stays None.  Every other verdict at `degree`
+    is re-computed at a doubled frontier, and the stability flag records
+    whether it survived.  Witnesses are formatted for the returned report.
     """
     if degree not in (0, 1, 2):
         raise DimensionMismatch(f"degree {degree} outside 0..2")
     if chi.is_zero():
         raise MismatchedCharacter("the zero multicharacter is not allowed")
-    signs = signs or [1] * chi.group.nlevels
+    if signs is None:
+        signs = [1] * chi.group.nlevels
     work_chi = chi.with_signs(signs)
     elim, report = _run_elimination(cx, work_chi, trunc)
     report.pattern = pattern_label(signs)
     report.degree = degree
+    report.witnesses = {d: _describe_witness(cx, elim, d)
+                        for d, v in report.verdicts.items() if v == WITNESS}
     if report.verdicts[degree] == VANISHES and elim.vanishing_is_exact():
         report.exact = report.stable = True
         return report
@@ -424,7 +422,7 @@ def theorem_f(presentation, qmap, chi, degree, trunc, field=None):
     the kernel of the quotient map.  The criterion speaks of the top degree
     only: vanishing below it says nothing about the kernel's dimension.
     """
-    top = 2 if presentation.relators else 1
+    top = top_degree(presentation)
     if degree != top:
         raise DimensionMismatch(f"degree {degree} is not the top degree {top} of this complex")
     cx = fox_complex(presentation, qmap, field or QQ, project=False)
@@ -436,7 +434,12 @@ def theorem_f(presentation, qmap, chi, degree, trunc, field=None):
         conclusion = OBSTRUCTION
     else:
         conclusion = INCONCLUSIVE
-    return CriterionVerdict([r.pattern for r in reports], reports, conclusion)
+    return CriterionVerdict(reports, conclusion)
+
+
+def top_degree(presentation):
+    """The top degree of the presentation complex: 2 with relators, else 1."""
+    return 2 if presentation.relators else 1
 
 
 def euler_check(cx, reports):

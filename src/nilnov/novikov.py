@@ -352,6 +352,13 @@ def nov_invert(beta):
     chain by chain.  m_max caps the beta_plus factors in a chain: bucket
     m_max is summed and not pushed, and a degree sweep whose buckets mix
     chain lengths is redone by chain length as soon as one reaches m_max.
+
+    With two or more levels the inverse holds at truncation only.  The
+    sweep drops terms beyond its widened box, and a factor that lowers
+    deeper levels can carry such a term back inside the box, where neither
+    residual sees the gap.  Over H3 with chi = (a=1 b=1; c=1), the inverse
+    of b + b a at frontier 4,4 misses a^4 b^-1, of degree (3,0): b^-1 times
+    the dropped a^4 c^4, of degree (4,4).
     """
     ctx = beta.ctx
     body = beta.body

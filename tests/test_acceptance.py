@@ -211,7 +211,7 @@ def test_criterion_08_theorem_f_mapping_torus(mapping_torus):
     chi = MultiChar(q.target, [[1]])
     verdict = theorem_f(mapping_torus, q, chi, 2, Trunc([8], 48))
     assert verdict.conclusion == CD_DROP
-    assert verdict.patterns == ["+", "-"]
+    assert [r.pattern for r in verdict.reports] == ["+", "-"]
     assert all(r.verdicts[2] == VANISHES and r.stable for r in verdict.reports)
     # corpus ground truth: the kernel is F_2, of cohomological dimension 1 < 2
     report(8, "mapping torus F2xZ: cd-drop certified for the full sweep", t0, 10.0)

@@ -251,6 +251,8 @@ FPG_KEYWORDS = "(expected 'group' or 'gens' or 'rel')"
     (mchar("char 0\nchar 1: c=1\n"), "line 1: expected 'char <i>: <gen>=<rational> ...'"),
     (pcg("pcgroup H3\nlevel 0: a b\nlevel 1: c\nconj b a\n"),
      "line 4: expected 'conj <y> <x> = <word>'"),
+    (["theorem-f", str(DATA / "f2.fpg"), "--char", str(DATA / "chi_torus.mchar"), "-d", "2"],
+     "degree 2 is not the top degree 1 of this complex"),
 ], ids=["field", "frontier", "frontier-zero-denominator", "mmax",
         "nov-h-frontier-zero", "theorem-f-frontier-negative",
         "mchar-zero-denominator", "literal-zero-denominator", "literal-outside-field",
@@ -269,7 +271,7 @@ FPG_KEYWORDS = "(expected 'group' or 'gens' or 'rel')"
         "fpg-missing-gens", "fpg-trivial-relator", "fpg-bad-exponent",
         "pcg-keyword-pcgroups", "pcg-keyword-levels", "pcg-keyword-conjugate",
         "mchar-keyword-chars", "mchar-keyword-charm", "pcg-second-header", "fpg-second-header",
-        "mchar-missing-colon", "pcg-conj-missing-equals"])
+        "mchar-missing-colon", "pcg-conj-missing-equals", "theorem-f-degree-above-top"])
 def test_bad_input_is_an_error(capsys, tmp_path, argv, message):
     argv = list(argv)
     for i, arg in enumerate(argv):

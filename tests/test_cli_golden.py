@@ -51,6 +51,7 @@ COMMANDS = [
     "nov-h demos/data/torus.fpg --char demos/data/chi_torus.mchar --quotient self"
     " --degree 2 --frontier 6 --entries projected --sweep",
     "theorem-f demos/data/torus.fpg --quotient self --char demos/data/chi_torus.mchar -d 2",
+    "theorem-f demos/data/f2.fpg --char demos/data/chi_torus.mchar",
     "euler demos/data/torus.fpg",
 ]
 

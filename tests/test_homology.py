@@ -106,6 +106,16 @@ class TestNovCohomology:
         with pytest.raises(MismatchedCharacter):
             nov_cohomology(cx, MultiChar(q.target, [[0, 0]]), 1, Trunc([8], 32))
 
+    @pytest.mark.parametrize("signs", [[1, -1, 1], [2], [0], []],
+                             ids=["too-many", "two", "zero", "empty"])
+    def test_sign_pattern_of_the_wrong_shape_rejected(self, torus, signs):
+        # one sign per level, each +1 or -1: [2] would double chi, [0] zero
+        # it past the zero-multicharacter check, and [] is not "all plus"
+        q = nilpotent_quotient(torus, 1)
+        cx = fox_complex(torus, q, QQ, project=False)
+        with pytest.raises(MismatchedCharacter):
+            nov_cohomology(cx, MultiChar(q.target, [[1, 0]]), 2, Trunc([8], 32), signs=signs)
+
     @pytest.mark.parametrize("degree", [-1, 3])
     def test_degree_outside_complex_rejected(self, torus, degree):
         q = nilpotent_quotient(torus, 1)
@@ -151,6 +161,25 @@ class TestNovCohomology:
         assert all(r.stable is None for r in reports[1:])
         assert reports[0].alternating_sum() is not None
         assert euler_check(cx, reports)
+
+    def test_only_the_returned_report_formats_witnesses(self, monkeypatch):
+        # chi(c) over the class-2 quotient of the parafree group: every
+        # pattern has an H^1 witness and re-runs its two-level H^2 verdict
+        # at 2F, which reads one verdict and formats no witness
+        P = parse_presentation((DATA / "parafree.fpg").read_text())
+        q = nilpotent_quotient(P, 2)
+        chi = parse_mchar("char 0: b=0 c=1\nchar 1: [c,b]=1\n", q.target)
+        cx = fox_complex(P, q, QQ, project=False)
+        describe, formatted = homology._describe_witness, []
+        monkeypatch.setattr(homology, "_describe_witness",
+                            lambda cx, elim, d: formatted.append(elim.ctx.trunc.frontier)
+                            or describe(cx, elim, d))
+        runs = count_eliminations(monkeypatch)
+        reports = [nov_cohomology(cx, chi, 2, Trunc([2, 2], 64), signs=signs)
+                   for signs in sign_patterns(2)]
+        assert formatted and set(formatted) == {(2, 2)}
+        assert (4, 4) in runs
+        assert all(1 in r.witnesses for r in reports)
 
     @pytest.mark.parametrize("step,where", [("clearing", "row 1, column 0"),
                                             ("column check", "row 0, column 0")],
@@ -321,7 +350,7 @@ class TestTheoremF:
         chi = MultiChar(q.target, [[1, 0]])
         verdict = theorem_f(torus, q, chi, 2, Trunc([8], 48))
         assert verdict.conclusion == CD_DROP
-        assert verdict.patterns == ["+", "-"]
+        assert [r.pattern for r in verdict.reports] == ["+", "-"]
 
     def test_mapping_torus_kernel_f2(self, mapping_torus):
         q = nilpotent_quotient(mapping_torus, 1)
@@ -344,7 +373,7 @@ class TestTheoremF:
         q = nilpotent_quotient(f2, 2)  # Heisenberg quotient: 2 levels
         chi = MultiChar(q.target, [[1, 0], [1]])
         verdict = theorem_f(f2, q, chi, 1, Trunc([3, 3], 16))
-        assert verdict.patterns == ["++", "+-", "-+", "--"]
+        assert [r.pattern for r in verdict.reports] == ["++", "+-", "-+", "--"]
 
     def test_dimension_guard(self, f2):
         Z = free_abelian_group(["u"])

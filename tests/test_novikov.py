@@ -314,6 +314,35 @@ class TestInverseStability:
         self.assert_stable(MultiChar(zgroup, [[1]]), Trunc([frontier], 24), R.parse(text))
 
 
+class TestMultiLevelInBoxTerms:
+    """Known multi-level leaks: a result at frontier F whose in-box terms
+    differ from those of the same computation at F + 5.  Frontiers are
+    widened by subtracting degree tuples, which misses how a product lowers
+    deeper levels, and no residual certificate sees the gap.  Sound
+    widening must flip both to passing."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the inverse misses a^4 b^-1, of degree (3,0)")
+    def test_inverse_of_b_plus_b_a(self, heis):
+        R = GroupRing(heis, QQ)
+        chi = MultiChar(heis, [[1, 1], [1]])  # F_ab
+        box = NovContext(chi, Trunc([4, 4]))
+        got = nov_invert(series_from_elt(box, R.parse("b + b a")))
+        ref = nov_invert(series_from_elt(NovContext(chi, Trunc([9, 9])), R.parse("b + b a")))
+        assert in_box(box, got.body) == in_box(box, ref.body)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the nested inverse brings dropped terms into the box")
+    def test_nested_expansion(self, heis):
+        R = GroupRing(heis, QQ)
+        chi = parse_mchar((DATA / "chi_h3.mchar").read_text(), heis)
+        frac = parse_fraction_expr("(1 - (2 - c^-1)^-1 a^-1)^-1", R)
+        box = NovContext(chi, Trunc([3, 3]))
+        got = expand(frac, chi, box.trunc)
+        ref = expand(frac, chi, Trunc([8, 8]))
+        assert in_box(box, got.body) == in_box(box, ref.body)
+
+
 def _chain_loop_inverse(beta):
     """The reference for nov_invert's sweep: the geometric series summed
     chain length by chain length, P_{m+1} = trunc(P_m * beta_plus), for at
