@@ -323,7 +323,7 @@ def _parser():
     p.set_defaults(run=_ring_mul)
 
     p = sub.add_parser("nov-invert", parents=[char, trunc, field],
-                       help="certified truncated inverse")
+                       help="truncated inverse, residual-checked (at truncation only with 2+ levels)")
     p.add_argument("element")
     p.add_argument("--group", required=True)
     p.set_defaults(run=_nov_invert)

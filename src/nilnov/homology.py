@@ -1,16 +1,16 @@
 """(Co)homology of presentation complexes: exact fields and Novikov rings.
 
 Field Betti numbers come from exact Gaussian elimination on the augmented
-matrices.  Novikov verdicts come from a Smith-style elimination in which a
-pivot must have a unique lexicographically minimal term and a certified
-inverse.  A nonvanishing witness is only reported when the elimination
-fully diagonalized: the leftover coordinate then carries an explicit
-cocycle that certifiably cannot be a coboundary below the frontier.  A
-stalled elimination is reported as inconclusive together with the
-offending column, never as a verdict.  A clearing step whose certificate
-fails stalls the same way: its pattern is inconclusive, with the failed
-step, the entry and the lex-minimal degree of the residual inside the
-frontier as the obstruction.
+matrices.  Novikov verdicts come from a Smith-style elimination that inverts
+candidates in the order of their unique lexicographically minimal terms and
+pivots on the first certified inverse.  A nonvanishing witness is only
+reported when the elimination fully diagonalized: the leftover coordinate
+then carries an explicit cocycle that certifiably cannot be a coboundary
+below the frontier.  A stalled elimination is reported as inconclusive with
+its first failure in (column, row) order, never as a verdict.  A clearing
+step whose certificate fails stalls the same way: its pattern is
+inconclusive, with the failed step, the entry and the lex-minimal degree of
+the residual inside the frontier as the obstruction.
 
 Exact vanishing for one-level characters.  With one level the degree is a
 real valuation v on the group ring: v(xy) >= v(x) + v(y), and an element
@@ -181,33 +181,33 @@ class _Elimination:
         self.consumed_cols = set()
         self.stall1 = None
         self.stall2 = None
-        self.certified = True       # False once a clearing certificate failed
 
     def _choose_pivot(self, cells):
         """The least (minimal degree, column, row) entry among `cells`
         (triples column, row, entry) whose inverse certifies, as
-        (column, row, inverse body) or None; and the first stall reason of
-        each column.  Entries beyond the frontier count as zero."""
-        # multiplying a cleared residual by an entry may lower degrees by the
-        # matrices' negative depth, and the result must still certify
-        inv_ctx = widened_context(self.ctx, [e for M in (self.M1, self.M2)
-                                             for row in M for e in row])
-        key, pivot, stuck = None, None, {}
+        (column, row, inverse body), or None and the stall: the first failure
+        (column, row, reason) in (column, row) order.  Candidates are inverted
+        in rank order; entries beyond the frontier count as zero."""
+        ranked, failed = [], []
         for c, r, e in cells:
             if beyond_frontier(self.ctx, e):
                 continue
             try:
-                _, _, deg = minimal_term(self.ctx, e)
-                inv = nov_invert(NovSeries(inv_ctx, e))
+                ranked.append(((minimal_term(self.ctx, e)[2], c, r), e))
             except NoStrictMinimum as err:
-                stuck.setdefault(c, str(err))
-                continue
+                failed.append((c, r, str(err)))
+        # multiplying a cleared residual by an entry may lower degrees by the
+        # matrices' negative depth, and the result must still certify
+        inv_ctx = widened_context(self.ctx, [e for M in (self.M1, self.M2)
+                                             for row in M for e in row])
+        for (_, c, r), e in sorted(ranked, key=lambda t: t[0]):
+            try:
+                return (c, r, nov_invert(NovSeries(inv_ctx, e)).body), None
+            except NoStrictMinimum as err:
+                failed.append((c, r, str(err)))
             except TruncationInsufficient:
-                stuck.setdefault(c, "certificate exhausted m_max")
-                continue
-            if pivot is None or (deg, c, r) < key:
-                key, pivot = (deg, c, r), (c, r, inv.body)
-        return pivot, stuck
+                failed.append((c, r, "certificate exhausted m_max"))
+        return None, min(failed, default=None)
 
     def _certify(self, step, r, c, residual):
         """None when the residual is beyond the frontier; otherwise the stall,
@@ -254,17 +254,17 @@ class _Elimination:
     # -- stage 1: the column M1
 
     def eliminate_d1(self):
-        pivot, stuck = self._choose_pivot((0, i, row[0]) for i, row in enumerate(self.M1))
+        """Clear d1 off its pivot; whether d2 may run (see _run_elimination)."""
+        pivot, stall = self._choose_pivot((0, i, row[0]) for i, row in enumerate(self.M1))
         if pivot is None:
-            if stuck:
+            if stall:  # without a stall, d1 is certified zero
                 self.stall1 = "no invertible entry in d1"
-            return not stuck  # without a stall, d1 is certified zero
+            return True
         _, i0, pinv = pivot
         self.stall1 = (self._clear_column("clearing", self.M1, range(len(self.M1)),
                                           i0, 0, pinv, True)
                        or self._check_consumed_column(i0, pinv))
         if self.stall1:
-            self.certified = False
             return False
         self.rank1 = 1
         self.consumed_cols.add(i0)
@@ -291,19 +291,17 @@ class _Elimination:
         while True:
             rows = self._unused_rows()
             cols = [c for c in range(self.cx.ranks[1]) if c not in self.consumed_cols]
-            pivot, stuck = self._choose_pivot((c, r, self.M2[r][c]) for c in cols for r in rows)
+            pivot, stall = self._choose_pivot((c, r, self.M2[r][c]) for c in cols for r in rows)
             if pivot is None:
-                if stuck:
-                    col = min(stuck)
-                    self.stall2 = f"column {col}: {stuck[col]}"
-                return not stuck  # without a stall, the residual block is certified zero
+                if stall:  # without a stall, the residual block is certified zero
+                    self.stall2 = f"column {stall[0]}: {stall[2]}"
+                return
             c0, r0, pinv = pivot
             self.stall2 = (self._clear_column("column clearing", self.M2, rows,
                                               r0, c0, pinv, False)
                            or self._clear_row(r0, c0, pinv, cols))
             if self.stall2:
-                self.certified = False
-                return False
+                return
             self.consumed_cols.add(c0)
             self.pivots2.append((r0, c0))
 
@@ -349,8 +347,10 @@ def _run_elimination(cx, chi, trunc):
     A failed d1 certificate leaves M2 half transformed, so d2 does not run
     and every degree is inconclusive with the d1 obstruction."""
     elim = _Elimination(cx, chi, trunc)
-    ok1 = elim.eliminate_d1()
-    ok2 = elim.certified and elim.eliminate_d2()
+    d2_runs = elim.eliminate_d1()
+    if d2_runs:
+        elim.eliminate_d2()
+    ok1, ok2 = elim.stall1 is None, d2_runs and elim.stall2 is None
     r0, r1, r2 = cx.ranks
     report = RankReport({0: r0 - elim.rank1 if ok1 else None,
                          1: r1 - elim.rank1 - elim.rank2 if ok1 and ok2 else None,

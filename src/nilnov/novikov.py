@@ -15,8 +15,11 @@ deg_i(gh) = deg_i(g) + deg_i(h) for i <= l; nov_invert orders its series
 sweep by that.  Deeper levels are not additive in general (a product picks
 up cross terms of shallower exponents) and are never used otherwise.
 Neither fact changes a term inside the frontier box; inversion and
-expansion verify an explicit residual certificate and refuse to return
-unverified results.
+expansion verify an explicit residual certificate and raise when it
+fails.  With two or more levels a passing certificate does not prove every
+term inside the box: a term dropped beyond it can come back inside, where
+no residual sees it (see nov_invert and _expand_rec), so both results then
+hold at truncation only.
 """
 
 import heapq
@@ -37,6 +40,8 @@ class Trunc:
 
     Every frontier entry must be positive: the box must retain the identity,
     or every residual certificate would pass without checking anything.
+    m_max must be an int, and not a bool: the series loop stops when a
+    chain length equals it.
     """
 
     def __init__(self, frontier, m_max=None):
@@ -44,6 +49,8 @@ class Trunc:
         if any(t <= 0 for t in self.frontier):
             raise ValueError("frontier entries must be positive")
         self.m_max = DEFAULT_M_MAX if m_max is None else m_max
+        if type(self.m_max) is not int:
+            raise ValueError(f"m_max must be an int, got {self.m_max!r}")
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
 

@@ -14,7 +14,7 @@ have a quotient with torsion.
 """
 
 from . import intlinalg
-from .errors import ClassUnsupported, ParseError, RelatorNotKilled
+from .errors import ClassUnsupported, MismatchedGroup, ParseError, RelatorNotKilled
 from .fields import QQ
 from .groupring import FreeGroup, GroupRing, dot, parse_word, read_lines
 from .pcgroup import PcGroup, Subgroup, isolator
@@ -163,9 +163,12 @@ def fox_complex(presentation, qmap=None, field=QQ, project=True):
 
     With a qmap and project=False, entries stay free-group words while the
     quotient map is carried alongside for degree computations: this is the
-    group-ring-faithful mode used by the Novikov homology runner.
+    group-ring-faithful mode used by the Novikov homology runner.  The
+    qmap must be a quotient map of this presentation.
     """
     P = presentation
+    if qmap is not None and qmap.source is not P:
+        raise MismatchedGroup("the quotient map is not a map of this presentation")
     fg = P.free_group
     free_ring = GroupRing(fg, field)
     if qmap is None:

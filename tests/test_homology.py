@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import random
 
@@ -10,12 +11,14 @@ from nilnov import (GF, GroupRing, MultiChar, QQ, QuotientMap, Trunc, betti,
 from nilnov import homology
 from nilnov.charorder import parse_mchar
 from nilnov.errors import (DimensionMismatch, InconsistentReport,
-                           MismatchedCharacter, MismatchedGroup)
+                           MismatchedCharacter, MismatchedGroup, NoStrictMinimum,
+                           TruncationInsufficient)
 from nilnov.groupring import dot
 from nilnov.homology import (CD_DROP, INCONCLUSIVE, OBSTRUCTION, VANISHES,
                              WITNESS, _Elimination, _run_elimination,
                              pivot_block_is_unit, sign_patterns)
-from nilnov.novikov import NovContext
+from nilnov.novikov import (NovContext, NovSeries, beyond_frontier, minimal_term,
+                            nov_invert, widened_context)
 from nilnov.presentations import free_abelian_group
 
 DATA = pathlib.Path(__file__).parents[1] / "demos" / "data"
@@ -234,6 +237,111 @@ class RecordingElimination(_Elimination):
         return super()._certify(step, r, c, residual)
 
 
+class ExhaustiveElimination(_Elimination):
+    """An elimination whose pivot search inverts every candidate, keeps the
+    least (minimal degree, column, row) key among those that certify, and
+    records the first failure of each column; the stall is that of the
+    least column.  The search of `_Elimination` must choose alike."""
+
+    def _choose_pivot(self, cells):
+        inv_ctx = widened_context(self.ctx, [e for M in (self.M1, self.M2)
+                                             for row in M for e in row])
+        key, pivot, stuck = None, None, {}
+        for c, r, e in cells:
+            if beyond_frontier(self.ctx, e):
+                continue
+            try:
+                _, _, deg = minimal_term(self.ctx, e)
+                inv = nov_invert(NovSeries(inv_ctx, e))
+            except NoStrictMinimum as err:
+                stuck.setdefault(c, (r, str(err)))
+                continue
+            except TruncationInsufficient:
+                stuck.setdefault(c, (r, "certificate exhausted m_max"))
+                continue
+            if pivot is None or (deg, c, r) < key:
+                key, pivot = (deg, c, r), (c, r, inv.body)
+        if pivot is not None or not stuck:
+            return pivot, None
+        c = min(stuck)
+        return None, (c, *stuck[c])
+
+
+def elimination_corpus():
+    """(group file, class, projected entries, multicharacter values, signs,
+    frontier entry): every level-0 vector over {-1, 0, 1, 2} with the deeper
+    levels at 1, frontiers 2 and 4, every sign pattern."""
+    cases = []
+    for name in ("torus", "bs12", "mapping_torus", "mapping_torus_1rel", "parafree", "f2"):
+        P = parse_presentation((DATA / f"{name}.fpg").read_text())
+        for cls in (1, 2):
+            G = nilpotent_quotient(P, cls).target
+            deeper = [[1] * len(gens) for gens in G.level_gens[1:]]
+            for vals in itertools.product((-1, 0, 1, 2), repeat=len(G.level_gens[0])):
+                comps = [list(vals)] + deeper
+                if any(v for comp in comps for v in comp):
+                    cases += [(name, cls, project, comps, signs, f)
+                              for project in (False, True) for f in (2, 4)
+                              for signs in sign_patterns(G.nlevels)]
+    return cases
+
+
+class TestPivotSearch:
+    def test_same_eliminations_as_the_exhaustive_search(self, monkeypatch):
+        # a seeded sample of the corpus gives the same verdicts, obstructions,
+        # pivots, stalls, M2 and A with either search
+        def run(cx, chi, trunc, elimination):
+            monkeypatch.setattr(homology, "_Elimination", elimination)
+            elim, report = _run_elimination(cx, chi, trunc)
+            return (report.verdicts, report.obstructions, elim.rank1, elim.pivots2,
+                    elim.consumed_cols, elim.stall1, elim.stall2, elim.M2, elim.A,
+                    elim.vanishing_is_exact())
+
+        # parafree with its relator rotated, pattern -- of chi(b): d2 stalls
+        # on an inversion in column 0, after a tie in column 2 has failed
+        rotated = "group parafree\ngens a b c\nrel c^-1 b c a^-1 c^-1 a c a b^-1\n"
+        cases = [(parse_presentation((DATA / f"{name}.fpg").read_text()), *case)
+                 for name, *case in random.Random(25).sample(elimination_corpus(), 150)]
+        cases.append((parse_presentation(rotated), 2, False, [[1, 0], [1]], [-1, -1], 2))
+        results = []
+        for P, cls, project, comps, signs, f in cases:
+            q = nilpotent_quotient(P, cls)
+            cx = fox_complex(P, q, QQ, project=project)
+            chi = MultiChar(q.target, comps).with_signs(signs)
+            trunc = Trunc([f] * q.target.nlevels, 32)
+            results.append(run(cx, chi, trunc, _Elimination))
+            assert results[-1] == run(cx, chi, trunc, ExhaustiveElimination)
+        # the sample meets stalls of both stages and every verdict
+        assert any(r[5] for r in results) and any(r[6] for r in results)
+        assert {v for r in results for v in r[0].values()} == {VANISHES, WITNESS, INCONCLUSIVE}
+
+    def test_inverts_only_the_pivots(self, mapping_torus, monkeypatch):
+        # the mapping torus, chi = 1, pattern +: one d1 and two d2 pivots,
+        # and no candidate besides them is inverted
+        q = nilpotent_quotient(mapping_torus, 1)
+        cx = fox_complex(mapping_torus, q, QQ, project=False)
+        inverted = []
+        monkeypatch.setattr(homology, "nov_invert",
+                            lambda beta: inverted.append(beta) or nov_invert(beta))
+        rep = nov_cohomology(cx, MultiChar(q.target, [[1]]), 2, Trunc([8], 48))
+        assert rep.exact and rep.verdicts[2] == VANISHES
+        assert len(inverted) == 3
+
+    @pytest.mark.parametrize("column1", ["1 + b", "1 - a"], ids=["tied", "exhausted"])
+    def test_stall_is_the_first_failure_by_column(self, torus, column1):
+        # column 0 holds a - a^2, whose series exhausts m_max = 2; column 1
+        # either ties at its minimum, failing while the candidates are
+        # ranked, or exhausts m_max too and ranks first (degree 0 < 1).
+        # Either way column 1 fails first, and the stall names column 0
+        q = nilpotent_quotient(torus, 1)
+        cx = fox_complex(torus, q, QQ, project=False)
+        elim = _Elimination(cx, MultiChar(q.target, [[1, 0]]), Trunc([8], 2))
+        cells = [(1, 0, cx.ring.parse(column1)), (0, 1, cx.ring.parse("a - a^2"))]
+        pivot, stall = elim._choose_pivot(cells)
+        assert pivot is None
+        assert stall == (0, 1, "certificate exhausted m_max")
+
+
 class TestExactCertificate:
     @pytest.fixture
     def laurent(self, zgroup):
@@ -374,6 +482,11 @@ class TestTheoremF:
         chi = MultiChar(q.target, [[1, 0], [1]])
         verdict = theorem_f(f2, q, chi, 1, Trunc([3, 3], 16))
         assert [r.pattern for r in verdict.reports] == ["++", "+-", "-+", "--"]
+
+    def test_quotient_map_of_another_presentation(self, bs12, torus):
+        q = nilpotent_quotient(torus, 1)
+        with pytest.raises(MismatchedGroup):
+            theorem_f(bs12, q, MultiChar(q.target, [[1, 0]]), 2, Trunc([4], 32))
 
     def test_dimension_guard(self, f2):
         Z = free_abelian_group(["u"])

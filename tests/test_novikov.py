@@ -85,6 +85,13 @@ class TestTrunc:
         with pytest.raises(ValueError, match="frontier entries must be positive"):
             Trunc(frontier, 8)
 
+    @pytest.mark.parametrize("m_max", [2.5, "3", True], ids=["float", "str", "bool"])
+    def test_m_max_must_be_an_int(self, m_max):
+        # a chain length never equals 2.5, so the cap would never fire; "3"
+        # fails a comparison later, and True would act as 1
+        with pytest.raises(ValueError, match="m_max must be an int"):
+            Trunc([3], m_max)
+
     def test_entries_are_ints_when_integral(self):
         trunc = Trunc([Fraction(4, 2), "5/2"], 8)
         assert trunc.frontier == (2, Fraction(5, 2)) and type(trunc.frontier[0]) is int

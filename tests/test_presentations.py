@@ -4,8 +4,8 @@ import pytest
 
 from nilnov import (GF, FreeGroup, GroupRing, QQ, QuotientMap, fox_complex,
                     nilpotent_quotient, parse_presentation, ring_mul)
-from nilnov.errors import (ClassUnsupported, ParseError, RelatorNotKilled,
-                           UnknownGenerator)
+from nilnov.errors import (ClassUnsupported, MismatchedGroup, ParseError,
+                           RelatorNotKilled, UnknownGenerator)
 from nilnov.fields import rank
 from nilnov.presentations import Presentation, fox_derivative, free_class2_group
 
@@ -108,6 +108,13 @@ class TestFox:
                     for entry, d1e in zip(row, cx.d1):
                         total = total + ring_mul(entry, d1e)
                     assert total.is_zero()
+
+    @pytest.mark.parametrize("project", [False, True], ids=["free", "projected"])
+    def test_quotient_map_of_another_presentation(self, bs12, torus, project):
+        # the torus's abelianisation sends BS(1,2)'s relator t a t^-1 a^-2
+        # to a^-1: it is no map of BS(1,2), so no complex is built from it
+        with pytest.raises(MismatchedGroup):
+            fox_complex(bs12, nilpotent_quotient(torus, 1), QQ, project=project)
 
     def test_relator_not_killed(self, bs12):
         Z = free_class2_group(["u"])
