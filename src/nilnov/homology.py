@@ -258,7 +258,7 @@ class _Elimination:
         pivot, stall = self._choose_pivot((0, i, row[0]) for i, row in enumerate(self.M1))
         if pivot is None:
             if stall:  # without a stall, d1 is certified zero
-                self.stall1 = "no invertible entry in d1"
+                self.stall1 = f"row {stall[1]}: {stall[2]}"
             return True
         _, i0, pinv = pivot
         self.stall1 = (self._clear_column("clearing", self.M1, range(len(self.M1)),

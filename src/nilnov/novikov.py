@@ -11,8 +11,8 @@ the level-0 degree of a product is the sum of its factors' level-0
 degrees, and products skip every pair whose sum reaches the level-0
 frontier (such a term would be truncated anyway).  And G_l/G_{l+1} is
 central in G/G_{l+1}, so for a right factor h in G_l the levels <= l add:
-deg_i(gh) = deg_i(g) + deg_i(h) for i <= l; nov_invert orders its series
-sweep by that.  Deeper levels are not additive in general (a product picks
+deg_i(gh) = deg_i(g) + deg_i(h) for i <= l; nov_invert keys its series
+sweep by 0 to n such levels.  Deeper levels need not add (a product picks
 up cross terms of shallower exponents) and are never used otherwise.
 Neither fact changes a term inside the frontier box; inversion and
 expansion verify an explicit residual certificate and raise when it
@@ -23,6 +23,7 @@ hold at truncation only.
 """
 
 import heapq
+from itertools import accumulate, repeat
 
 from .charorder import failing_node
 from .errors import (CertificateFailure, IncompatibleCharacter,
@@ -237,79 +238,79 @@ def _image(ctx, g):
 
 
 def _sweep_key(ctx, beta_plus):
-    """The key the geometric series of nov_invert is swept by.
+    """The number of leading degree levels, 0 to n, that key the series
+    sweep of nov_invert; 0 sweeps chain by chain.
 
-    Returns the number of leading degree levels that make up the key, or
-    None when the key is the chain length.  For a term h of beta_plus of
-    lex-positive degree let l(h) be its first level of nonzero degree.  If
-    each h lies in G_l(h), right multiplication by h adds degrees on levels
-    <= l(h), so the degree cut after L = max l(h) rises strictly with every
-    factor.  Membership is read on the projected element when the context
-    projects.  A term of non-positive degree makes the key the chain
-    length; its powers may still leave the box through cross terms.  When
-    _check_divergence proves that they do not, it raises NoStrictMinimum.
+    For a term h of beta_plus of lex-positive degree let l(h) be its first
+    level of nonzero degree.  If each h lies in G_l(h), right multiplication
+    by h adds degrees on levels <= l(h), so the degree cut after L = max l(h)
+    rises strictly with every factor: the key is L + 1 levels.  Membership
+    is read on the projected element when the context projects.  A term of
+    non-positive degree makes the key 0 levels; its powers may still leave
+    the box through cross terms.  When _check_divergence proves that they
+    do not, it raises NoStrictMinimum.
     """
     group = ctx.chi.group
-    levels, nested = [0], True
+    levels, nested, non_positive = [0], True, []
     for h in beta_plus.terms:
         d = ctx.deg(h)
         level = next((i for i, x in enumerate(d) if x), None)
         if level is None or d[level] < 0:
-            _check_divergence(ctx, beta_plus, h)
+            non_positive.append(h)
             nested = False
         else:
             levels.append(level)
             nested = nested and group.leading_level(_image(ctx, h)) >= level
-    return max(levels) + 1 if nested else None
+    if non_positive:
+        _check_divergence(ctx, beta_plus, non_positive)
+    return max(levels) + 1 if nested else 0
 
 
-def _check_divergence(ctx, beta_plus, h):
-    """Raise NoStrictMinimum when the term h of non-positive degree keeps
+def _check_divergence(ctx, beta_plus, non_positive):
+    """Raise NoStrictMinimum for the first term h of non_positive that keeps
     the chain-by-chain series inside the box through m_max factors.
 
     No term of beta_plus has negative level-0 degree (beta_0 is minimal and
     chi_0 a homomorphism), so the level-0-degree-0 part of beta_plus^m is
-    Z^m, Z the level-0-degree-0 part of beta_plus; h is in Z.  Z lies in G_l,
-    l its least leading level, and the level-l exponent vector v is a
-    homomorphism there.  If h is the only term of Z maximising
+    Z^m, Z the level-0-degree-0 part of beta_plus; each h is in Z.  Z lies
+    in G_l, l its least leading level, and the level-l exponent vector v is
+    a homomorphism there.  If h is the only term of Z maximising
     <v(h), v(.)>, and v(h) != 0, then c^m h^m (c the coefficient of h) is
     the unique term of Z^m maximising it: nothing cancels it.  When h^k is
     inside the box for every k <= m_max + 1, the series keeps c^k h^k at
     every chain length k <= m_max and beta*gamma - 1 keeps
     -c^(m_max+1) h^(m_max+1), so the certificate would fail after m_max
-    factors.  Otherwise nothing is proved and the series runs.
+    factors.  Otherwise nothing is proved for h.
     """
     group = ctx.chi.group
-    zero_part = [_image(ctx, g) for g in beta_plus.terms if ctx.deg(g)[0] == 0]
-    level = min(map(group.leading_level, zero_part))
+    images = {g: _image(ctx, g) for g in beta_plus.terms if ctx.deg(g)[0] == 0}
+    level = min(map(group.leading_level, images.values()))
     if level == group.nlevels:
         return
-    x = _image(ctx, h)
-    v = group.level_vector(x, level)
-    weights = sorted(sum(a * b for a, b in zip(v, group.level_vector(g, level)))
-                     for g in zero_part)
-    top = sum(a * a for a in v)
-    if top == 0 or weights[-1] != top or (len(weights) > 1 and weights[-2] == top):
-        return
-    power = x
-    for _ in range(ctx.trunc.m_max + 1):
-        if not ctx.trunc.retains(ctx.chi.deg(power)):
-            return
-        power = group.mul(power, x)
-    raise NoStrictMinimum(f"beta_plus term of degree {format_degree(ctx.deg(h))} is not positive")
+    vectors = {g: group.level_vector(x, level) for g, x in images.items()}
+    for h in non_positive:
+        v = vectors[h]
+        weights = sorted(sum(a * b for a, b in zip(v, w)) for w in vectors.values())
+        top = sum(a * a for a in v)
+        if top == 0 or weights[-1] != top or (len(weights) > 1 and weights[-2] == top):
+            continue
+        powers = accumulate(repeat(images[h], ctx.trunc.m_max + 1), group.mul)
+        if all(ctx.trunc.retains(ctx.chi.deg(x)) for x in powers):
+            raise NoStrictMinimum(
+                f"beta_plus term of degree {format_degree(ctx.deg(h))} is not positive")
 
 
 def _geometric_sum(wctx, beta_plus, cut, m_max):
-    """S = sum beta_plus^m truncated to wctx, swept by the key of
-    _sweep_key (cut leading degree levels, or the chain length for None);
-    None when a degree sweep reaches a chain of m_max factors.
+    """S = sum beta_plus^m truncated to wctx, keyed by a term's first `cut`
+    degree levels (_sweep_key); with cut 0 each bucket is one chain.  None
+    when a bucket with a non-empty key reaches a chain of m_max factors.
 
     S and the pending buckets are term dicts that the sweep owns: each
     popped bucket and each product part is added into them in place, so no
     pop copies S."""
     ring = beta_plus.ring
     field = ring.field
-    start = 0 if cut is None else (0,) * cut
+    start = (0,) * cut
     buckets = {start: (ring.one().terms, 0)}  # key -> (pending terms, longest chain)
     heap = [start]
     S = {}
@@ -317,18 +318,15 @@ def _geometric_sum(wctx, beta_plus, cut, m_max):
         bucket, chain = buckets.pop(heapq.heappop(heap))
         if not bucket:
             continue
-        if chain == m_max and cut is not None:
+        if chain == m_max and cut:
             return None
         add_into(field, S, bucket)
         if chain == m_max:
             continue
         product = truncate_elt(wctx, _product_below(wctx, RingElt(ring, bucket), beta_plus))
-        if cut is None:
-            parts = {chain + 1: product.terms}
-        else:
-            parts = {}
-            for g, c in product.terms.items():
-                parts.setdefault(wctx.deg(g)[:cut], {})[g] = c
+        parts = {}
+        for g, c in product.terms.items():
+            parts.setdefault(wctx.deg(g)[:cut], {})[g] = c
         for key, part in parts.items():
             if key in buckets:
                 pending, longest = buckets[key]
@@ -352,13 +350,13 @@ def nov_invert(beta):
     S is summed by one sweep (B. H. Neumann's construction).  Pending terms
     wait in buckets; the least key is popped, added to S and pushed once,
     times beta_plus and truncated, each product term joining the bucket of
-    its key.  The key is a term's leading degree levels when _sweep_key
-    finds them additive: every push then raises the key, a bucket is
-    complete when popped, and each term of S is multiplied once.  Otherwise
-    it is the chain length m, and bucket m + 1 is trunc(P_m * beta_plus),
-    chain by chain.  m_max caps the beta_plus factors in a chain: bucket
-    m_max is summed and not pushed, and a degree sweep whose buckets mix
-    chain lengths is redone by chain length as soon as one reaches m_max.
+    its key: its first 0 to n degree levels, as many as _sweep_key finds
+    additive.  With one or more, every push raises the key, a bucket is
+    complete when popped, and each term of S is multiplied once.  With
+    zero, bucket m + 1 is trunc(P_m * beta_plus), chain by chain.  m_max
+    caps the beta_plus factors in a chain: a chain of m_max is summed and
+    not pushed, and a sweep whose buckets mix chain lengths is redone with
+    zero levels as soon as one reaches m_max.
 
     With two or more levels the inverse holds at truncation only.  The
     sweep drops terms beyond its widened box, and a factor that lowers
@@ -383,9 +381,9 @@ def nov_invert(beta):
     # carry a band of at-frontier terms, explicit slack from the O-tail).
     wctx = widened_context(ctx, [beta0_inv])
     m_max = ctx.trunc.m_max
-    S = None if cut is None else _geometric_sum(wctx, beta_plus, cut, m_max)
+    S = _geometric_sum(wctx, beta_plus, cut, m_max)
     if S is None:
-        S = _geometric_sum(wctx, beta_plus, None, m_max)
+        S = _geometric_sum(wctx, beta_plus, 0, m_max)
     gamma = ring_mul(beta0_inv, S)
     # both residuals are checked: elimination multiplies by gamma on either side
     if not beyond_frontier(ctx, _product_below(ctx, body, gamma) - one) or \

@@ -96,6 +96,19 @@ class TestVerdictsAndExitCodes:
         assert "conclusion: cd-drop-certified-at-truncation" in out
         assert "verdict + 2 vanishes-at-truncation 8" in out
 
+    def test_theorem_f_inconclusive_exit_2(self, capsys):
+        # P's class-2 quotient at frontier 2: only pattern ++ vanishes
+        code, out, _ = run(capsys, "theorem-f", str(DATA / "parafree.fpg"),
+                           "--char", str(DATA / "chi_parafree_c2.mchar"),
+                           "--quotient", "c2", "--frontier", "2")
+        assert code == 2
+        verdicts = [line for line in out.splitlines() if line.startswith(("verdict", "conclusion"))]
+        assert verdicts == ["verdict ++ 2 vanishes-at-truncation 2,2",
+                            "verdict +- 2 inconclusive 2,2",
+                            "verdict -+ 2 inconclusive 2,2",
+                            "verdict -- 2 inconclusive 2,2",
+                            "conclusion: inconclusive"]
+
     def test_nov_h_inconclusive_exit_2(self, capsys, tmp_path):
         chi = tmp_path / "chi.mchar"
         chi.write_text("char 0: t=1\n")
@@ -185,6 +198,8 @@ FPG_KEYWORDS = "(expected 'group' or 'gens' or 'rel')"
      "bad frontier '1/0' (expected rationals like 8 or 3,4)"),
     (["nov-invert", *Z, "1 - t", "--mmax", "0"], "m_max must be >= 1"),
     ([*BS12, "-d", "1", "--frontier=0"], "frontier entries must be positive"),
+    (["nov-h", str(DATA / "torus.fpg"), "--char", str(DATA / "chi_torus.mchar"),
+      "--frontier", "3,3"], "frontier needs 1 entries"),
     (["theorem-f", str(DATA / "torus.fpg"), "--quotient", "self",
       "--char", str(DATA / "chi_torus.mchar"), "--frontier=-1/2"],
      "frontier entries must be positive"),
@@ -254,7 +269,7 @@ FPG_KEYWORDS = "(expected 'group' or 'gens' or 'rel')"
     (["theorem-f", str(DATA / "f2.fpg"), "--char", str(DATA / "chi_torus.mchar"), "-d", "2"],
      "degree 2 is not the top degree 1 of this complex"),
 ], ids=["field", "frontier", "frontier-zero-denominator", "mmax",
-        "nov-h-frontier-zero", "theorem-f-frontier-negative",
+        "nov-h-frontier-zero", "nov-h-frontier-count", "theorem-f-frontier-negative",
         "mchar-zero-denominator", "literal-zero-denominator", "literal-outside-field",
         "literal-doubled-operator", "fit-char-lattice-point", "expand-invert-zero",
         "expand-invert-zero-sum", "nov-h-degree-above", "nov-h-degree-below",
@@ -300,7 +315,7 @@ def test_d1_stall_leaves_d2_running(capsys, tmp_path):
     code, out, _ = run(capsys, "nov-h", str(DATA / "f2.fpg"), "--quotient", "c2", "-d", "1",
                        "--frontier", "2", "--sweep", "--char", str(chi))
     assert code == 2
-    stall = "inconclusive (h=?) obstruction=d1: no invertible entry in d1"
+    stall = "inconclusive (h=?) obstruction=d1: row 0: minimal degree (0,0) attained 2 times"
     expected = []
     for p in ("++", "+-", "-+", "--"):
         expected += [f"H^0 [{p}]: {stall}", f"H^1 [{p}]: {stall}",

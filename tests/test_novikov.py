@@ -454,6 +454,39 @@ class TestSweepAgainstChainLoop:
         ctx = NovContext(MultiChar(heis, [[1, 1], [-1]]), Trunc([4, 4], 64))
         assert self.assert_matches(ctx, GroupRing(heis, QQ).parse("a b + a^2 c^-1")) is RingElt
 
+    @pytest.mark.parametrize("comps, text, outcome", [
+        ([[1, 1], [-1]], "a b + a^2 c^-1 + a^2 c^-2", RingElt),
+        ([[1, 1], [1]], "a^-1 b^2 + b c + b c^2", TruncationInsufficient)])
+    def test_tied_weight_proves_nothing(self, heis, monkeypatch, comps, text, outcome):
+        # beta_plus is a multiple of a b^-1, of degree (0,0), plus one of
+        # a b^-1 c^(-/+)1: both have level-0 vector (1,-1), the weight of
+        # a b^-1 is tied and the sweep goes chain by chain.  Under (1,1;-1)
+        # the powers of a b^-1 leave the box and the loop certifies; under
+        # (1,1;1) they stay inside, and without b c^2 the sweep would stall
+        # at once with NoStrictMinimum
+        keys = []
+        sweep_key = novikov._sweep_key
+        monkeypatch.setattr(novikov, "_sweep_key",
+                            lambda *args: keys.append(sweep_key(*args)) or keys[-1])
+        ctx = NovContext(MultiChar(heis, comps), Trunc([4, 4], 16))
+        assert self.assert_matches(ctx, GroupRing(heis, QQ).parse(text)) is outcome
+        assert keys == [0]
+
+    def test_zero_part_mapping_to_the_identity(self):
+        # the relator r of P maps to the identity, so Z = {r} has no leading
+        # level and nothing is proved: the key is 0 levels, and the sweep
+        # sums the chains 1 + r/2 + r^2/4 + r^3/8 up to m_max 3
+        P = parse_presentation((DATA / "parafree.fpg").read_text())
+        q = nilpotent_quotient(P, 2)
+        chi = parse_mchar("char 0: b=0 c=1\nchar 1: [c,b]=1", q.target)
+        ctx = NovContext(chi, Trunc([3, 3], 3), q.apply_word)
+        R, (r,) = GroupRing(P.free_group, QQ), P.relators
+        beta_plus = R.monomial(Fraction(1, 2), r)
+        assert novikov._sweep_key(ctx, beta_plus) == 0
+        powers = [P.free_group.collect(r * k) for k in range(4)]
+        assert novikov._geometric_sum(ctx, beta_plus, 0, 3).terms == \
+            {g: Fraction(1, 2 ** k) for k, g in enumerate(powers)}
+
     @pytest.mark.parametrize("comps, frontier", [([[1, 1], [1]], (3, 5)),
                                                  ([[1, 0], [1]], (4, 4)),
                                                  ([[1, 1], [-1]], (4, 4))])

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from nilnov import (Subgroup, free_abelianization_refine, isolator, lower_central_series,
                     nilpotent_quotient, parse_pc, parse_presentation)
 from nilnov.errors import AdaptationError, ParseError, UnknownGenerator
+from nilnov.presentations import free_class2_group
 
 from conftest import F23_SRC, Z3_SRC, heisenberg_matrix
 
@@ -123,6 +125,20 @@ class TestSeries:
     def test_isolator_diagonal(self, z2group):
         sub = Subgroup(z2group, [z2group.collect(z2group.parse_word("a^2 b^2"))])
         assert isolator(z2group, sub).describe() == ["a b"]
+
+    @pytest.mark.parametrize("word, expected", [("a^2 [b,a]^2", ["a [b,a]"]),
+                                                ("a^2 [b,a]", ["a^2 [b,a]"])])
+    def test_isolator_with_deeper_root_correction(self, word, expected):
+        # the square root a of a^2 needs the level-1 correction [b,a] to
+        # square to a^2 [b,a]^2; a^2 [b,a] has no such correction
+        G = free_class2_group(["a", "b"])
+        sub = Subgroup(G, [G.collect(G.parse_word(word))])
+        iso = isolator(G, sub)
+        assert iso.describe() == expected
+        box = range(-3, 4)
+        for x in itertools.product(box, box, box):
+            g = G.collect([(i, e) for i, e in enumerate(x) if e])
+            assert iso.contains(g) == any(sub.contains(G.pow(g, n)) for n in range(1, 5)), x
 
 
 class TestRefine:
