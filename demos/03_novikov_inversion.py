@@ -3,8 +3,8 @@
 Series are kept as finite bodies plus an explicit O(frontier) tail.  An
 inverse is produced by the geometric-series decomposition beta =
 (1 - beta_plus) beta_0 and is never returned without verifying that
-beta * gamma - 1 exits the frontier box; there is no a-priori degree
-calculus across levels, the certificate is the whole story.
+beta * gamma - 1 and gamma * beta - 1 exit the frontier box; there is no
+a-priori degree calculus across levels, the certificate is the whole story.
 """
 
 import pathlib

@@ -71,7 +71,7 @@ from .errors import (DimensionMismatch, InconsistentReport, MismatchedCharacter,
 from .fields import QQ, rank
 from .groupring import augment, ring_mul
 from .novikov import (NovContext, NovSeries, beyond_frontier, format_degree,
-                      minimal_term, nov_invert, widened_context)
+                      least_inside, minimal_term, nov_invert, widened_context)
 from .presentations import fox_complex
 
 VANISHES = "vanishes-at-truncation"
@@ -213,11 +213,11 @@ class _Elimination:
         """None when the residual is beyond the frontier; otherwise the stall,
         naming the step, the entry and the residual's lex-minimal degree
         inside the frontier."""
-        inside = [d for d in map(self.ctx.deg, residual.terms) if self.ctx.trunc.retains(d)]
-        if not inside:
+        degree = least_inside(self.ctx, residual)
+        if degree is None:
             return None
         return (f"{step} failed its certificate at row {r}, column {c}: "
-                f"residual degree {format_degree(min(inside))} inside the frontier")
+                f"residual degree {format_degree(degree)} inside the frontier")
 
     @property
     def rank2(self):

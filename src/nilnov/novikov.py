@@ -118,13 +118,16 @@ class NovContext:
 
 
 class NovSeries:
-    """body + O(frontier)."""
+    """body + O(frontier).  A series that nov_invert returns also carries
+    its right residual gamma*beta - 1 (see nov_invert); on every other
+    series `residual` is None."""
 
-    __slots__ = ("ctx", "body")
+    __slots__ = ("ctx", "body", "residual")
 
     def __init__(self, ctx, body):
         self.ctx = ctx
         self.body = body
+        self.residual = None
 
     def __repr__(self):
         return format_series(self)
@@ -184,6 +187,12 @@ def series_from_elt(ctx, elt):
 def beyond_frontier(ctx, elt):
     """True when every term of elt sits at or beyond the frontier box."""
     return all(not ctx.trunc.retains(ctx.deg(g)) for g in elt.terms)
+
+
+def least_inside(ctx, elt):
+    """The lex-minimal degree of elt's terms inside the frontier box, or
+    None when elt is beyond the frontier."""
+    return min(filter(ctx.trunc.retains, map(ctx.deg, elt.terms)), default=None)
 
 
 def widened_context(ctx, elts):
@@ -301,11 +310,19 @@ def _check_divergence(ctx, beta_plus, non_positive):
 
 
 def _geometric_sum(wctx, beta_plus, cut, m_max):
-    """S = sum beta_plus^m truncated to wctx, keyed by a term's first `cut`
-    degree levels (_sweep_key); with cut 0 each bucket is one chain.  None
-    when a bucket with a non-empty key reaches a chain of m_max factors.
+    """(S, D): S = sum beta_plus^m truncated to wctx, keyed by a term's
+    first `cut` degree levels (_sweep_key); with cut 0 each bucket is one
+    chain.  None when a bucket with a non-empty key reaches a chain of
+    m_max factors.
 
-    S and the pending buckets are term dicts that the sweep owns: each
+    D = S*beta_plus - (S - 1) below wctx's level-0 frontier, the part of
+    S*beta_plus that S lacks.  Every term of S but 1 comes from a popped
+    bucket's product with beta_plus, so D is what truncation drops from
+    those products plus the products of the buckets that end a chain at
+    m_max, accumulated as they are formed.  Each product is untruncated
+    below the level-0 frontier: _product_below skips only pairs beyond it.
+
+    S, D and the pending buckets are term dicts that the sweep owns: each
     popped bucket and each product part is added into them in place, so no
     pop copies S."""
     ring = beta_plus.ring
@@ -313,7 +330,7 @@ def _geometric_sum(wctx, beta_plus, cut, m_max):
     start = (0,) * cut
     buckets = {start: (ring.one().terms, 0)}  # key -> (pending terms, longest chain)
     heap = [start]
-    S = {}
+    S, D = {}, {}
     while heap:
         bucket, chain = buckets.pop(heapq.heappop(heap))
         if not bucket:
@@ -321,11 +338,14 @@ def _geometric_sum(wctx, beta_plus, cut, m_max):
         if chain == m_max and cut:
             return None
         add_into(field, S, bucket)
+        product = _product_below(wctx, RingElt(ring, bucket), beta_plus)
         if chain == m_max:
+            add_into(field, D, product.terms)
             continue
-        product = truncate_elt(wctx, _product_below(wctx, RingElt(ring, bucket), beta_plus))
+        kept = truncate_elt(wctx, product).terms
+        add_into(field, D, {g: c for g, c in product.terms.items() if g not in kept})
         parts = {}
-        for g, c in product.terms.items():
+        for g, c in kept.items():
             parts.setdefault(wctx.deg(g)[:cut], {})[g] = c
         for key, part in parts.items():
             if key in buckets:
@@ -335,17 +355,31 @@ def _geometric_sum(wctx, beta_plus, cut, m_max):
             else:
                 heapq.heappush(heap, key)
                 buckets[key] = (part, chain + 1)
-    return RingElt(ring, S)
+    return RingElt(ring, S), RingElt(ring, D)
 
 
 def nov_invert(beta):
     """Certified inverse via the geometric-series decomposition.
 
-    Writes beta = (1 - beta_plus) * beta_0 with beta_0 the unique minimal
-    term, accumulates beta_0^-1 * S with S = sum beta_plus^m to the
-    truncation, and verifies that beta * gamma - 1 has no term inside the
-    frontier box.  The certificate is mandatory; failures raise
-    TruncationInsufficient.
+    Writes beta = (1 - beta_plus) * beta_0 with beta_0 = r*q the unique
+    minimal term, accumulates gamma = beta_0^-1 * S with S = sum beta_plus^m
+    to the truncation, and verifies that neither beta*gamma - 1 nor
+    gamma*beta - 1 has a term inside the frontier box.  The certificate is
+    mandatory; failures raise TruncationInsufficient, naming the side and
+    its lex-minimal degree inside the box.
+
+    beta_plus = 1 - beta * beta_0^-1 exactly, so the residuals need no
+    product with beta or gamma:
+
+        beta*gamma - 1 = S - 1 - beta_plus*S
+        gamma*beta - 1 = q^-1 (S - 1 - S*beta_plus) q
+
+    and the sweep has formed S*beta_plus already: S - 1 - S*beta_plus = -D
+    (_geometric_sum).  Conjugation keeps level-0 degrees, and every pair a
+    product skips has level-0 degree at or past the frontier, so inside the
+    box both residuals equal the products they replace.  The returned
+    series carries gamma*beta - 1, on its terms of level-0 degree below the
+    frontier, as `residual`; _expand_rec checks a node from it.
 
     S is summed by one sweep (B. H. Neumann's construction).  Pending terms
     wait in buckets; the least key is popped, added to S and pushed once,
@@ -371,7 +405,8 @@ def nov_invert(beta):
     ring = body.ring
     group, field = ring.group, ring.field
     q, r, _ = minimal_term(ctx, body)
-    beta0_inv = ring.monomial(field.inv(r), group.inv(q))
+    q_inv = group.inv(q)
+    beta0_inv = ring.monomial(field.inv(r), q_inv)
     one = ring.one()
     beta_plus = one - ring_mul(body, beta0_inv)
     cut = _sweep_key(ctx, beta_plus)
@@ -381,17 +416,27 @@ def nov_invert(beta):
     # carry a band of at-frontier terms, explicit slack from the O-tail).
     wctx = widened_context(ctx, [beta0_inv])
     m_max = ctx.trunc.m_max
-    S = _geometric_sum(wctx, beta_plus, cut, m_max)
-    if S is None:
-        S = _geometric_sum(wctx, beta_plus, 0, m_max)
-    gamma = ring_mul(beta0_inv, S)
-    # both residuals are checked: elimination multiplies by gamma on either side
-    if not beyond_frontier(ctx, _product_below(ctx, body, gamma) - one) or \
-            not beyond_frontier(ctx, _product_below(ctx, gamma, body) - one):
-        raise TruncationInsufficient(
-            "residual of the inversion certificate has terms inside the frontier; "
-            "raise m_max or shrink the frontier")
-    return NovSeries(ctx, gamma)
+    swept = _geometric_sum(wctx, beta_plus, cut, m_max)
+    if swept is None:
+        swept = _geometric_sum(wctx, beta_plus, 0, m_max)
+    S, D = swept
+    f0 = ctx.trunc.frontier[0]
+    right = RingElt(ring, {group.mul(group.mul(q_inv, g), q): field.neg(c)
+                           for g, c in D.terms.items() if ctx.deg(g)[0] < f0})
+    # both residuals are checked: elimination multiplies by gamma on either
+    # side.  In 1 - beta_plus the identity row comes first, so beta_plus*S
+    # cancels against S as the product forms and no copy of it is held.
+    left = _product_below(ctx, one - beta_plus, S) - one
+    for side, residual in (("beta*gamma - 1", left), ("gamma*beta - 1", right)):
+        degree = least_inside(ctx, residual)
+        if degree is not None:
+            raise TruncationInsufficient(
+                "residual of the inversion certificate has terms inside the frontier; "
+                f"least in {side}: degree {format_degree(degree)}; "
+                "raise m_max or shrink the frontier")
+    gamma = NovSeries(ctx, ring_mul(beta0_inv, S))
+    gamma.residual = right
+    return gamma
 
 
 def expand(frac, chi, trunc):
@@ -422,7 +467,11 @@ def _expand_rec(frac, ctx, ring):
     """A node is alpha*beta^-1.  Bodies stay exact between nodes, and
     truncation happens only inside the inversions: beta is inverted at the
     frontier widened by alpha's negative degree depth, and each node
-    verifies result*beta = alpha up to the frontier before returning.
+    verifies result*beta = alpha up to the frontier before returning.  With
+    result = alpha*gamma, result*beta - alpha = alpha*(gamma*beta - 1), so
+    the check multiplies alpha by the residual that nov_invert returns; the
+    widening keeps that residual complete for every pair whose product can
+    fall inside the box.
 
     That check reads alpha and beta as expanded to the frontier.  A nested
     node inside beta is truncated there too, and an inverse that lowers
@@ -434,12 +483,12 @@ def _expand_rec(frac, ctx, ring):
     A = _assemble(frac.alpha, ctx, ring)
     B = _assemble(frac.beta, ctx, ring)
     inv = nov_invert(NovSeries(widened_context(ctx, [A]), B))
-    body = ring_mul(A, inv.body)
-    residual = _product_below(ctx, body, B) - A
-    if not beyond_frontier(ctx, residual):
+    degree = least_inside(ctx, _product_below(ctx, A, inv.residual))
+    if degree is not None:
         raise CertificateFailure(
-            "node certificate failed: result*beta differs from alpha inside the frontier")
-    return NovSeries(ctx, body)
+            "node certificate failed: result*beta differs from alpha inside the frontier; "
+            f"residual degree {format_degree(degree)} inside the frontier")
+    return NovSeries(ctx, ring_mul(A, inv.body))
 
 
 def _assemble(entries, ctx, ring):

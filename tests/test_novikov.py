@@ -1,5 +1,6 @@
 import pathlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from nilnov import (GroupRing, LexOrder, MultiChar, NovContext, NovSeries, QQ,
                     Trunc, expand, format_series, frac_invert, nov_invert,
                     nov_mul, parse_pc, parse_presentation, ring_mul,
                     series_from_elt)
-from nilnov.errors import (IncompatibleCharacter, MismatchedCharacter,
+from nilnov.errors import (CertificateFailure, IncompatibleCharacter, MismatchedCharacter,
                            MismatchedGroup, NilnovError, NoStrictMinimum,
                            TruncationInsufficient, UnsupportedFraction)
 from nilnov.charorder import parse_mchar
@@ -19,7 +20,7 @@ from nilnov.groupring import RingElt, RingOps, read_expr
 from nilnov import novikov
 from nilnov.iterfrac import Node, nodes
 from nilnov.novikov import (_product_below, beyond_frontier, minimal_term,
-                            truncate_elt)
+                            truncate_elt, widened_context)
 from nilnov.presentations import nilpotent_quotient
 
 DATA = pathlib.Path(__file__).parents[1] / "demos" / "data"
@@ -475,7 +476,9 @@ class TestSweepAgainstChainLoop:
     def test_zero_part_mapping_to_the_identity(self):
         # the relator r of P maps to the identity, so Z = {r} has no leading
         # level and nothing is proved: the key is 0 levels, and the sweep
-        # sums the chains 1 + r/2 + r^2/4 + r^3/8 up to m_max 3
+        # sums the chains 1 + r/2 + r^2/4 + r^3/8 up to m_max 3; nothing
+        # leaves the box, so S*beta_plus - (S - 1) is the last chain's
+        # product r^4/16
         P = parse_presentation((DATA / "parafree.fpg").read_text())
         q = nilpotent_quotient(P, 2)
         chi = parse_mchar("char 0: b=0 c=1\nchar 1: [c,b]=1", q.target)
@@ -483,9 +486,10 @@ class TestSweepAgainstChainLoop:
         R, (r,) = GroupRing(P.free_group, QQ), P.relators
         beta_plus = R.monomial(Fraction(1, 2), r)
         assert novikov._sweep_key(ctx, beta_plus) == 0
-        powers = [P.free_group.collect(r * k) for k in range(4)]
-        assert novikov._geometric_sum(ctx, beta_plus, 0, 3).terms == \
-            {g: Fraction(1, 2 ** k) for k, g in enumerate(powers)}
+        powers = [P.free_group.collect(r * k) for k in range(5)]
+        S, D = novikov._geometric_sum(ctx, beta_plus, 0, 3)
+        assert S.terms == {g: Fraction(1, 2 ** k) for k, g in enumerate(powers[:4])}
+        assert D.terms == {powers[4]: Fraction(1, 16)}
 
     @pytest.mark.parametrize("comps, frontier", [([[1, 1], [1]], (3, 5)),
                                                  ([[1, 0], [1]], (4, 4)),
@@ -509,10 +513,11 @@ class TestSweepAgainstChainLoop:
 
 
 class TestSweepOwnsItsDicts:
-    """_geometric_sum adds into S and its pending buckets in place, so every
-    dict it adds into must be its own: the inverted body, beta_plus and the
-    leaves of an expanded fraction keep their terms, and neither the sum
-    nor the returned gamma is a dict that was pending as a bucket."""
+    """_geometric_sum adds into S, D and its pending buckets in place, so
+    every dict it adds into must be its own: the inverted body, beta_plus
+    and the leaves of an expanded fraction keep their terms, neither the
+    sum nor the returned gamma is a dict that was pending as a bucket, and
+    D is none of a bucket, beta_plus and S."""
 
     def spy(self, monkeypatch):
         sweeps, current = [], []
@@ -545,7 +550,9 @@ class TestSweepOwnsItsDicts:
             assert rec["beta_plus"].terms == rec["before"]
             assert all(b is not rec["beta_plus"].terms for b in buckets)
             if rec["sum"] is not None:
-                assert all(b is not rec["sum"].terms for b in buckets)
+                S, D = rec["sum"]
+                assert all(b is not S.terms and b is not D.terms for b in buckets)
+                assert D.terms is not rec["beta_plus"].terms and D.terms is not S.terms
         for result in results:
             assert all(b is not result.terms for b in buckets)
 
@@ -559,7 +566,8 @@ class TestSweepOwnsItsDicts:
                 body = dict(beta.body.terms)
                 gamma = _outcome(nov_invert, beta)
                 assert beta.body.terms == body
-                self.assert_owned(sweeps, [gamma.body] if isinstance(gamma, NovSeries) else [])
+                self.assert_owned(sweeps, [gamma.body, gamma.residual]
+                                  if isinstance(gamma, NovSeries) else [])
 
     def test_expand(self, heis, monkeypatch):
         R = GroupRing(heis, QQ)
@@ -572,6 +580,162 @@ class TestSweepOwnsItsDicts:
         res = expand(frac, chi, Trunc([3, 4], 16))
         assert [x.terms for x in leaves] == before
         self.assert_owned(sweeps, [res.body])
+
+
+def _spy_sweeps(monkeypatch):
+    """(cut, result, products) of every _geometric_sum call, in order:
+    products counts the buckets it multiplied by beta_plus, m_max + 1 for a
+    zero-level sweep that reached a chain of m_max factors."""
+    sweeps = []
+    geometric_sum, product_below = novikov._geometric_sum, novikov._product_below
+    products = []
+
+    def counted(ctx, x, y):
+        products.append(None)
+        return product_below(ctx, x, y)
+
+    def sweep(wctx, beta_plus, cut, m_max):
+        products.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(novikov, "_product_below", counted)
+            result = geometric_sum(wctx, beta_plus, cut, m_max)
+        sweeps.append((cut, result, len(products)))
+        return result
+
+    monkeypatch.setattr(novikov, "_geometric_sum", sweep)
+    return sweeps
+
+
+def _side_failure(side, degree):
+    return re.escape(f"; least in {side}: degree {degree};")
+
+
+class TestDerivedCertificates:
+    """nov_invert reads gamma*beta - 1 = q^-1 (S - 1 - S*beta_plus) q off the
+    products its sweep formed (S*beta_plus - (S - 1) is the sweep's D), and
+    beta*gamma - 1 = S - 1 - beta_plus*S off one product with beta_plus; a
+    node checks alpha times that right residual.  Inside the box each equals
+    the product it replaces, on failing units and on sweeps that end at
+    m_max too, and a failure names its side and least degree there."""
+
+    def direct(self, ctx, elt, sweeps):
+        """In-box terms of (direct left, direct right, derived left, derived
+        right) for the last sweep, and the right residual on the terms of
+        level-0 degree below the frontier."""
+        body = series_from_elt(ctx, elt).body
+        ring = body.ring
+        group, field = ring.group, ring.field
+        q, r, _ = minimal_term(ctx, body)
+        beta0_inv = ring.monomial(field.inv(r), group.inv(q))
+        one = ring.one()
+        beta_plus = one - ring_mul(body, beta0_inv)
+        S, D = sweeps[-1][1]
+        gamma = ring_mul(beta0_inv, S)
+        right = RingElt(ring, {group.mul(group.mul(group.inv(q), g), q): field.neg(c)
+                               for g, c in D.terms.items()})
+        below = {g: c for g, c in right.terms.items() if ctx.deg(g)[0] < ctx.trunc.frontier[0]}
+        return (in_box(ctx, _product_below(ctx, body, gamma) - one),
+                in_box(ctx, _product_below(ctx, gamma, body) - one),
+                in_box(ctx, S - one - _product_below(ctx, beta_plus, S)),
+                in_box(ctx, right), below)
+
+    def assert_unit(self, ctx, elt, sweeps):
+        """The outcome of inverting elt: RingElt, or the error's type."""
+        beta = series_from_elt(ctx, elt)
+        if beta.body.is_zero():
+            return None
+        sweeps.clear()
+        got = _outcome(nov_invert, beta)
+        if got is NoStrictMinimum:
+            return got
+        left, right, derived_left, derived_right, below = self.direct(ctx, elt, sweeps)
+        assert derived_left == left and derived_right == right, str(elt)
+        for side, residual in (("beta*gamma - 1", left), ("gamma*beta - 1", right)):
+            if residual:
+                assert got is TruncationInsufficient, str(elt)
+                with pytest.raises(TruncationInsufficient, match=_side_failure(
+                        side, novikov.format_degree(min(map(ctx.deg, residual))))):
+                    nov_invert(beta)
+                return got
+        assert got.residual.terms == below, str(elt)
+        return RingElt
+
+    def assert_node(self, ctx, A, B):
+        """alpha*(gamma*beta - 1) against result*beta - alpha, and the node's
+        outcome: RingElt, or the error's type."""
+        try:
+            inv = nov_invert(NovSeries(widened_context(ctx, [A]), B))
+        except NilnovError as err:
+            return type(err)
+        derived = in_box(ctx, _product_below(ctx, A, inv.residual))
+        residual = in_box(ctx, _product_below(ctx, ring_mul(A, inv.body), B) - A)
+        assert derived == residual, (str(A), str(B))
+        node = Node([(A, ())], [(B, ())], 0)
+        if not residual:
+            assert in_box(ctx, expand(node, ctx.chi, ctx.trunc).body) == \
+                in_box(ctx, ring_mul(A, inv.body))
+            return RingElt
+        degree = novikov.format_degree(min(map(ctx.deg, residual)))
+        with pytest.raises(CertificateFailure, match=f"; residual degree {re.escape(degree)} inside"):
+            expand(node, ctx.chi, ctx.trunc)
+        return CertificateFailure
+
+    def test_seeded_units_and_nodes(self, heis, free_class3, monkeypatch):
+        sweeps = _spy_sweeps(monkeypatch)
+        P = parse_presentation((DATA / "parafree.fpg").read_text())
+        quotient = nilpotent_quotient(P, 2)
+        chi_p = parse_mchar("char 0: b=0 c=1\nchar 1: [c,b]=1", quotient.target)
+        chi_f = parse_mchar((DATA / "chi_f23.mchar").read_text(), free_class3)
+        RH, RF = GroupRing(heis, QQ), GroupRing(free_class3, QQ)
+        cases = [(NovContext(MultiChar(heis, comps), Trunc(frontier, m_max)), RH, "abc", 40)
+                 for comps, frontier in [([[1, 1], [1]], (3, 5)), ([[1, 0], [1]], (4, 4)),
+                                         ([[1, 1], [-1]], (4, 4))]
+                 for m_max in (24, 3)]
+        cases += [(NovContext(chi_f, Trunc([3, 3, 3], m_max)), RF, "abcde", 24) for m_max in (12, 3)]
+        cases += [(NovContext(chi_p, Trunc([3, 3], m_max), quotient.apply_word),
+                   GroupRing(P.free_group, QQ), "abc", 24) for m_max in (8, 3)]
+        units, nodes_, cuts = Counter(), Counter(), Counter()
+        with time_limit(2):
+            for ctx, R, gens, count in cases:
+                rng = random.Random(f"{ctx.trunc!r}{gens}")
+                for elt in _seeded_units(rng, R, gens, count):
+                    units[self.assert_unit(ctx, elt, sweeps)] += 1
+                    cuts.update((cut, result is None, cut == 0 and products > ctx.trunc.m_max)
+                                for cut, result, products in sweeps)
+                if ctx.project is None:  # expand reads pc elements only
+                    pairs = zip(_seeded_units(rng, R, gens, count), _seeded_units(rng, R, gens, count))
+                    nodes_.update(self.assert_node(ctx, A, B) for A, B in pairs)
+        # certified and failing units, zero-level sweeps that reach m_max,
+        # degree sweeps redone on zero levels after reaching it, and nodes
+        # that certify and that fail
+        assert units[RingElt] and units[TruncationInsufficient], units
+        assert cuts[(0, False, True)] and cuts[(2, True, False)], cuts
+        assert nodes_[RingElt] and nodes_[CertificateFailure], nodes_
+
+    @pytest.mark.parametrize("text, side, degree", [
+        ("2 + 3*a + 2*b^-1 c", "beta*gamma - 1", "(1,0)"),
+        ("1 - a^-1 + 3*b^4 c^2", "gamma*beta - 1", "(1,2)")])
+    def test_each_side_is_needed(self, heis, monkeypatch, text, side, degree):
+        # under (1,0;1) at 4,4 only one residual of each inverse has a term
+        # inside the box, so a check of the other side alone would certify
+        sweeps = _spy_sweeps(monkeypatch)
+        ctx = NovContext(MultiChar(heis, [[1, 0], [1]]), Trunc([4, 4], 64))
+        elt = GroupRing(heis, QQ).parse(text)
+        with pytest.raises(TruncationInsufficient, match=_side_failure(side, degree)):
+            nov_invert(series_from_elt(ctx, elt))
+        left, right = self.direct(ctx, elt, sweeps)[:2]
+        assert [bool(left), bool(right)] == [side.startswith("beta"), side.startswith("gamma")]
+
+    def test_node_failure_names_its_degree(self, heis):
+        # alpha = 1 + a - b^-2 reaches the box from the right residual of
+        # beta = 2 - 2*a^-1 b^-1 c + c, which is beyond the widened box
+        ctx = NovContext(MultiChar(heis, [[1, 1], [1]]), Trunc([3, 3], 64))
+        R = GroupRing(heis, QQ)
+        assert self.assert_node(ctx, R.parse("1 + a - b^-2"),
+                                R.parse("2 - 2*a^-1 b^-1 c + c")) is CertificateFailure
+        with pytest.raises(CertificateFailure, match=r"; residual degree \(2,-1\) inside"):
+            expand(Node([(R.parse("1 + a - b^-2"), ())], [(R.parse("2 - 2*a^-1 b^-1 c + c"), ())], 0),
+                   ctx.chi, ctx.trunc)
 
 
 class TestExpand:
