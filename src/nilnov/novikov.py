@@ -9,8 +9,11 @@ and frontier entries are ints when integral (else reduced Fractions).
 Degree arithmetic is trusted in two places.  chi_0 is a homomorphism, so
 the level-0 degree of a product is the sum of its factors' level-0
 degrees, and products skip every pair whose sum reaches the level-0
-frontier (such a term would be truncated anyway).  And G_l/G_{l+1} is
-central in G/G_{l+1}, so for a right factor h in G_l the levels <= l add:
+frontier (such a term would be truncated anyway).  Over a one-level
+quotient the same holds letter by letter, so NovContext reads a free
+word's degree off its letters without projecting the word.  And
+G_l/G_{l+1} is central in G/G_{l+1}, so for a right factor h in G_l the
+levels <= l add:
 deg_i(gh) = deg_i(g) + deg_i(h) for i <= l; nov_invert keys its series
 sweep by 0 to n such levels.  Deeper levels need not add (a product picks
 up cross terms of shallower exponents) and are never used otherwise.
@@ -85,8 +88,16 @@ class NovContext:
     """Degree bookkeeping: multicharacter, truncation, optional projection.
 
     With a pc backend the degree of a normal form is chi.deg; with a free
-    backend, words are first pushed through `project` (a callable returning
-    a normal form in chi's group) and then measured.
+    backend, words are first pushed through `project` (a homomorphism from
+    free words to normal forms in chi's group) and then measured.
+
+    When chi's group has one level it is free abelian (a single level has
+    no tails), so chi_0 after the projection is a homomorphism on free
+    words: the degree of a word is the sum of e * chi_0(project(x)) over
+    its letters x^e, and each letter is projected once per context.  The
+    sum equals chi.deg(project(w)) in value, hash and printed form, though
+    it may be a Fraction where chi.deg gives an int.  With more levels
+    every word is projected.
     """
 
     def __init__(self, chi, trunc, project=None):
@@ -98,23 +109,38 @@ class NovContext:
         self.trunc = trunc
         self.project = project
         self._cache = {}
+        # letter -> chi_0 of its image, when degrees are read off letters
+        self._letters = {} if project and chi.group.nlevels == 1 else None
 
     def deg(self, g):
         d = self._cache.get(g)
         if d is None:
-            d = self.chi.deg(self.project(g) if self.project else g)
+            letters = self._letters
+            if letters is None:
+                d = self.chi.deg(self.project(g) if self.project else g)
+            else:
+                total = 0
+                for x, e in g:
+                    v = letters.get(x)
+                    if v is None:
+                        v = letters[x] = self.chi.deg(self.project(((x, 1),)))[0]
+                    total += e * v
+                d = (total,)
             self._cache[g] = d
         return d
 
     def with_trunc(self, trunc):
         ctx = NovContext(self.chi, trunc, self.project)
         ctx._cache = self._cache
+        ctx._letters = self._letters
         return ctx
 
     def compatible(self, other):
+        # == and not `is`: each access to a bound method such as
+        # q.apply_word makes a new object, and equal ones share their map
         return self.chi.group is other.chi.group and \
             self.chi.components == other.chi.components and \
-            self.project is other.project
+            self.project == other.project
 
 
 class NovSeries:
@@ -145,7 +171,12 @@ def truncate_elt(ctx, elt):
     return RingElt(elt.ring, keep)
 
 
-def _product_below(ctx, x, y):
+def _by_level0(ctx, y):
+    """y's terms as (deg_0, group element, coefficient), by deg_0."""
+    return sorted(((ctx.deg(h)[0], h, ch) for h, ch in y.terms.items()), key=lambda t: t[0])
+
+
+def _product_below(ctx, x, y, ys=None, terms=None):
     """x*y without the term pairs whose level-0 degree reaches the frontier.
 
     chi_0 is a homomorphism on G/G_1, and so on free words through the
@@ -154,14 +185,20 @@ def _product_below(ctx, x, y):
     deg_0(g) + deg_0(h) >= F_0: every later product lies beyond the frontier.
     Each group element inside the box keeps all its pairs, so on the terms
     the frontier retains the result equals ring_mul(x, y).
+
+    A caller that multiplies by y more than once passes ys = _by_level0(ctx,
+    y), sorted once.  Given a term dict `terms`, the pairs are added into it
+    and the result owns it: the result is then terms + x*y.
     """
     x._check(y)
     ring = x.ring
     group, field = ring.group, ring.field
     deg = ctx.deg
     f0 = ctx.trunc.frontier[0]
-    ys = sorted(((deg(h)[0], h, ch) for h, ch in y.terms.items()), key=lambda t: t[0])
-    terms = {}
+    if ys is None:
+        ys = _by_level0(ctx, y)
+    if terms is None:
+        terms = {}
     for g, cg in x.terms.items():
         room = f0 - deg(g)[0]
         for d, h, ch in ys:
@@ -323,38 +360,57 @@ def _geometric_sum(wctx, beta_plus, cut, m_max):
     below the level-0 frontier: _product_below skips only pairs beyond it.
 
     S, D and the pending buckets are term dicts that the sweep owns: each
-    popped bucket and each product part is added into them in place, so no
-    pop copies S."""
+    popped bucket and each product term is added into them in place, so no
+    pop copies S.  beta_plus is sorted by level-0 degree once, and one pass
+    over each product files a term the truncation keeps into the pending
+    bucket of its key and any other term into D.  With one or more levels
+    popped keys rise strictly and a term has one key, so the buckets are
+    disjoint and S takes each by dict.update; with zero, chains overlap and
+    a bucket is added into S."""
     ring = beta_plus.ring
     field = ring.field
+    deg = wctx.deg
+    ys = _by_level0(wctx, beta_plus)
     start = (0,) * cut
-    buckets = {start: (ring.one().terms, 0)}  # key -> (pending terms, longest chain)
+    pending = {start: ring.one().terms}  # key -> pending terms
+    longest = {start: 0}  # key -> longest chain among its terms
     heap = [start]
     S, D = {}, {}
     while heap:
-        bucket, chain = buckets.pop(heapq.heappop(heap))
+        key = heapq.heappop(heap)
+        bucket, chain = pending.pop(key), longest.pop(key)
         if not bucket:
             continue
         if chain == m_max and cut:
             return None
-        add_into(field, S, bucket)
-        product = _product_below(wctx, RingElt(ring, bucket), beta_plus)
+        if cut:
+            S.update(bucket)
+        else:
+            add_into(field, S, bucket)
+        product = _product_below(wctx, RingElt(ring, bucket), beta_plus, ys)
         if chain == m_max:
             add_into(field, D, product.terms)
             continue
         kept = truncate_elt(wctx, product).terms
-        add_into(field, D, {g: c for g, c in product.terms.items() if g not in kept})
-        parts = {}
-        for g, c in kept.items():
-            parts.setdefault(wctx.deg(g)[:cut], {})[g] = c
-        for key, part in parts.items():
-            if key in buckets:
-                pending, longest = buckets[key]
-                add_into(field, pending, part)
-                buckets[key] = (pending, max(longest, chain + 1))
+        for g, c in product.terms.items():
+            if g in kept:
+                k = deg(g)[:cut]
+                into = pending.get(k)
+                if into is None:
+                    into = pending[k] = {}
+                    longest[k] = chain + 1
+                    heapq.heappush(heap, k)
+                elif longest[k] <= chain:
+                    longest[k] = chain + 1
             else:
-                heapq.heappush(heap, key)
-                buckets[key] = (part, chain + 1)
+                into = D
+            old = into.get(g)
+            if old is not None:
+                c = field.add(old, c)
+                if field.is_zero(c):
+                    del into[g]
+                    continue
+            into[g] = c
     return RingElt(ring, S), RingElt(ring, D)
 
 
@@ -424,9 +480,10 @@ def nov_invert(beta):
     right = RingElt(ring, {group.mul(group.mul(q_inv, g), q): field.neg(c)
                            for g, c in D.terms.items() if ctx.deg(g)[0] < f0})
     # both residuals are checked: elimination multiplies by gamma on either
-    # side.  In 1 - beta_plus the identity row comes first, so beta_plus*S
-    # cancels against S as the product forms and no copy of it is held.
-    left = _product_below(ctx, one - beta_plus, S) - one
+    # side.  The pairs of -beta_plus*S are added into a copy of S - 1, so
+    # they cancel against S as the product forms, without multiplying S by
+    # the identity and without a second dict of beta_plus*S.
+    left = _product_below(ctx, -beta_plus, S, terms=(S - one).terms)
     for side, residual in (("beta*gamma - 1", left), ("gamma*beta - 1", right)):
         degree = least_inside(ctx, residual)
         if degree is not None:

@@ -26,8 +26,10 @@ def test_series_h3_trace_counts_the_series_loop():
 
 
 def test_criterion_corpus_trace_sees_the_degree_path():
-    # free-word products no longer call FreeGroup.collect, so the free-word
-    # degree path shows up in the tracer through QuotientMap.apply_word
+    # free-word products no longer call FreeGroup.collect, and over the
+    # class-1 quotients of this workload a word's degree is read off its
+    # letters: QuotientMap.apply_word sees the projection of each letter
+    # once per context and the images that _sweep_key reads
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", "criterion-corpus", "--seed", "1",
          "--seconds", "0.5", "--trace", "1"],

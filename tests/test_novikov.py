@@ -8,11 +8,11 @@ import pytest
 
 from conftest import time_limit
 from nilnov import (GroupRing, LexOrder, MultiChar, NovContext, NovSeries, QQ,
-                    Trunc, expand, format_series, frac_invert, nov_invert,
-                    nov_mul, parse_pc, parse_presentation, ring_mul,
+                    QuotientMap, Trunc, expand, format_series, frac_invert,
+                    nov_invert, nov_mul, parse_pc, parse_presentation, ring_mul,
                     series_from_elt)
 from nilnov.errors import (CertificateFailure, IncompatibleCharacter, MismatchedCharacter,
-                           MismatchedGroup, NilnovError, NoStrictMinimum,
+                           MismatchedGroup, NilnovError, NoStrictMinimum, ParseError,
                            TruncationInsufficient, UnsupportedFraction)
 from nilnov.charorder import parse_mchar
 from nilnov.fracparse import parse_fraction_expr
@@ -24,6 +24,7 @@ from nilnov.novikov import (_product_below, beyond_frontier, minimal_term,
 from nilnov.presentations import nilpotent_quotient
 
 DATA = pathlib.Path(__file__).parents[1] / "demos" / "data"
+TEST_DATA = pathlib.Path(__file__).parent / "data"
 
 
 def reversed_levels(order, signs):
@@ -77,6 +78,110 @@ class TestNovMul:
         chi = MultiChar(heis, [[1, 0], [1]])
         with pytest.raises(MismatchedCharacter, match="frontier has 1 entries"):
             NovContext(chi, Trunc([3], 12))
+
+    def test_matches_truncated_ring_mul(self, heis):
+        # seeded H3 elements and free words through parafree's class-1 and
+        # class-2 quotients: the product of the two truncated bodies,
+        # truncated to the coarser of the two truncations, frontier and
+        # m_max alike
+        P = parse_presentation((DATA / "parafree.fpg").read_text())
+        q1, q2 = nilpotent_quotient(P, 1), nilpotent_quotient(P, 2)
+        cases = [(heis, None, [[1, 1], [1]], (3, 5), (4, 4)),
+                 (heis, None, [[1, -2], [3]], (2, 5), (3, 3)),
+                 (P.free_group, q1, [[Fraction(1, 2), Fraction(-3, 2)]], (2,), (3,)),
+                 (P.free_group, q2, [[0, 1], [1]], (3, 2), (2, 3))]
+        for G, q, values, f1, f2 in cases:
+            project = q and q.apply_word
+            chi = MultiChar(q.target if q else G, values)
+            c1, c2 = NovContext(chi, Trunc(f1, 12), project), NovContext(chi, Trunc(f2, 9), project)
+            R = GroupRing(G, QQ)
+            rng = random.Random(str((values, f1)))
+            word = rand_word(rng, G)
+            for i in range(20):
+                x = rand_ring_elt(rng, R, word, rng.randint(1, 6), fractional=i % 2 == 1)
+                y = rand_ring_elt(rng, R, word, rng.randint(1, 6))
+                x, y = series_from_elt(c1, x), series_from_elt(c2, y)
+                prod = nov_mul(x, y)
+                assert prod.ctx.trunc.frontier == tuple(map(min, f1, f2))
+                assert prod.ctx.trunc.m_max == 9
+                assert prod.body == truncate_elt(prod.ctx, ring_mul(x.body, y.body)), (x, y)
+
+    def test_one_quotient_map_is_compatible(self):
+        # each access to q.apply_word makes a new bound method; two contexts
+        # built from it measure alike, and one built from another map of
+        # the same group does not share it
+        P = parse_presentation((DATA / "parafree.fpg").read_text())
+        q = nilpotent_quotient(P, 1)
+        chi = MultiChar(q.target, [[1, 1]])
+        R = GroupRing(P.free_group, QQ)
+        x = series_from_elt(NovContext(chi, Trunc([3], 8), q.apply_word), R.parse("1 + b"))
+        y = series_from_elt(NovContext(chi, Trunc([3], 8), q.apply_word), R.parse("1 - b"))
+        assert nov_mul(x, y).body == R.parse("1 - b^2")
+        other = QuotientMap(P, q.target, q.images)
+        z = series_from_elt(NovContext(chi, Trunc([3], 8), other.apply_word), R.parse("1 - b"))
+        with pytest.raises(MismatchedCharacter):
+            nov_mul(x, z)
+
+
+def _fpg_files():
+    return sorted(DATA.glob("*.fpg")) + sorted(TEST_DATA.glob("*.fpg"))
+
+
+class TestLetterDegrees:
+    """Over a one-level quotient the degree of a free word is the sum of its
+    letters' degrees, each letter projected once per context; with more
+    levels every word is projected."""
+
+    def test_one_level_degrees_read_off_letters(self):
+        rng = random.Random(28)
+        parsed = 0
+        for path in _fpg_files():
+            try:
+                P = parse_presentation(path.read_text())
+            except ParseError:
+                assert path.name == "dup_gens.fpg"
+                continue
+            parsed += 1
+            q = nilpotent_quotient(P, 1)
+            k = len(q.target.level_gens[0])
+            F = P.free_group
+            for values in ([rng.randint(-3, 3) or 1 for _ in range(k)],
+                           [rng.choice((Fraction(1, 2), Fraction(-3, 2), 2)) for _ in range(k)],
+                           [rng.choice((0, Fraction(1, 2), -1)) for _ in range(k)]):
+                chi = MultiChar(q.target, [values])
+                projected = []
+                ctx = NovContext(chi, Trunc([3], 8),
+                                 lambda w: projected.append(w) or q.apply_word(w))
+                wider = ctx.with_trunc(Trunc([5], 8))
+                words = [F.collect([(rng.randrange(F.ngens), rng.choice((-3, -2, -1, 1, 2, 3)))
+                                    for _ in range(rng.randint(0, 8))]) for _ in range(40)]
+                for i, w in enumerate(words):
+                    d = (ctx if i % 2 else wider).deg(w)
+                    expected = chi.deg(q.apply_word(w))
+                    assert d == expected and hash(d) == hash(expected), (path.name, w)
+                    assert novikov.format_degree(d) == novikov.format_degree(expected)
+                # one projection per letter, shared by the widened context
+                assert len(projected) == len(set(projected)) <= F.ngens
+                assert all(len(w) == 1 and w[0][1] == 1 for w in projected)
+        assert parsed == len(_fpg_files()) - 1
+
+    def test_two_level_context_projects_each_word(self):
+        # level-1 degrees are not additive: [c,b] has degree (0,1), its
+        # letters sum to (0,0)
+        P = parse_presentation((DATA / "parafree.fpg").read_text())
+        q = nilpotent_quotient(P, 2)
+        chi = parse_mchar("char 0: b=0 c=1\nchar 1: [c,b]=1", q.target)
+        projected = []
+        ctx = NovContext(chi, Trunc([3, 3], 8), lambda w: projected.append(w) or q.apply_word(w))
+        F = P.free_group
+        word = rand_word(random.Random(5), F, length=8)
+        b, c = P.gen_names.index("b"), P.gen_names.index("c")
+        words = [F.collect([(c, -1), (b, -1), (c, 1), (b, 1)])] + [word() for _ in range(40)]
+        for w in words:
+            projected.clear()
+            assert ctx.deg(w) == chi.deg(q.apply_word(w)), w
+            assert projected in ([w], [])  # [] when w was measured before
+        assert ctx.deg(words[0]) == (0, 1)
 
 
 class TestTrunc:
@@ -533,11 +638,11 @@ class TestSweepOwnsItsDicts:
             sweeps.append(record)
             return record["sum"]
 
-        def product(ctx, x, y):
+        def product(ctx, x, y, *args, **kwargs):
             # inside a sweep x is always a bucket; outside, it is a certificate
             if current:
                 current[-1]["buckets"].append(x.terms)
-            return product_below(ctx, x, y)
+            return product_below(ctx, x, y, *args, **kwargs)
 
         monkeypatch.setattr(novikov, "_geometric_sum", sweep)
         monkeypatch.setattr(novikov, "_product_below", product)
@@ -583,23 +688,23 @@ class TestSweepOwnsItsDicts:
 
 
 def _spy_sweeps(monkeypatch):
-    """(cut, result, products) of every _geometric_sum call, in order:
-    products counts the buckets it multiplied by beta_plus, m_max + 1 for a
-    zero-level sweep that reached a chain of m_max factors."""
+    """(cut, result, products, wctx, beta_plus) of every _geometric_sum
+    call, in order: products counts the buckets it multiplied by beta_plus,
+    m_max + 1 for a zero-level sweep that reached a chain of m_max factors."""
     sweeps = []
     geometric_sum, product_below = novikov._geometric_sum, novikov._product_below
     products = []
 
-    def counted(ctx, x, y):
+    def counted(ctx, x, y, *args, **kwargs):
         products.append(None)
-        return product_below(ctx, x, y)
+        return product_below(ctx, x, y, *args, **kwargs)
 
     def sweep(wctx, beta_plus, cut, m_max):
         products.clear()
         with monkeypatch.context() as patch:
             patch.setattr(novikov, "_product_below", counted)
             result = geometric_sum(wctx, beta_plus, cut, m_max)
-        sweeps.append((cut, result, len(products)))
+        sweeps.append((cut, result, len(products), wctx, beta_plus))
         return result
 
     monkeypatch.setattr(novikov, "_geometric_sum", sweep)
@@ -612,7 +717,8 @@ def _side_failure(side, degree):
 
 class TestDerivedCertificates:
     """nov_invert reads gamma*beta - 1 = q^-1 (S - 1 - S*beta_plus) q off the
-    products its sweep formed (S*beta_plus - (S - 1) is the sweep's D), and
+    products its sweep formed (S*beta_plus - (S - 1) is the sweep's D, on
+    every term below the level-0 frontier of the sweep), and
     beta*gamma - 1 = S - 1 - beta_plus*S off one product with beta_plus; a
     node checks alpha times that right residual.  Inside the box each equals
     the product it replaces, on failing units and on sweeps that end at
@@ -646,6 +752,12 @@ class TestDerivedCertificates:
             return None
         sweeps.clear()
         got = _outcome(nov_invert, beta)
+        one = beta.body.ring.one()
+        for _, result, _, wctx, beta_plus in sweeps:
+            # D is S*beta_plus - (S - 1) on every term, not only in the box
+            if result is not None:
+                S, D = result
+                assert D == _product_below(wctx, S, beta_plus) - (S - one), str(elt)
         if got is NoStrictMinimum:
             return got
         left, right, derived_left, derived_right, below = self.direct(ctx, elt, sweeps)
@@ -701,7 +813,7 @@ class TestDerivedCertificates:
                 for elt in _seeded_units(rng, R, gens, count):
                     units[self.assert_unit(ctx, elt, sweeps)] += 1
                     cuts.update((cut, result is None, cut == 0 and products > ctx.trunc.m_max)
-                                for cut, result, products in sweeps)
+                                for cut, result, products, *_ in sweeps)
                 if ctx.project is None:  # expand reads pc elements only
                     pairs = zip(_seeded_units(rng, R, gens, count), _seeded_units(rng, R, gens, count))
                     nodes_.update(self.assert_node(ctx, A, B) for A, B in pairs)
