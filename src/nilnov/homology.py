@@ -16,14 +16,14 @@ Exact vanishing for one-level characters.  With one level the degree is a
 real valuation v on the group ring: v(xy) >= v(x) + v(y), and an element
 whose minimal degree is attained by one term c g alone is a Novikov unit,
 (c g (1 - y))^-1 = (1 + y + y^2 + ...) g^-1 c^-1 with v(y) > 0.  The
-elimination applies each d2-stage row operation to every column of M2,
-and each P1 base change to every row of M2 and to A, which accumulates
-them.  Their multipliers are finite ring elements (entries times
-truncated pivot inverses), so every operation is exact and invertible
-over the group ring.  With L the product of the row operations (never
-stored), M2 = L d2 A, which is d2 in other bases, apart from column i0 of
-the d1 pivot: `_check_consumed_column` certifies that column and zeroes
-it, and no pivot lies on it.  `pivot_block_is_unit` reads M2 and checks,
+d2 stage applies each row operation to every column of M2, and each P1
+base change to every row of M2 and to A, which accumulates them.  Their
+multipliers are finite ring elements (entries times truncated pivot
+inverses), so every operation is exact and invertible over the group
+ring.  With L the product of the row operations (never stored),
+M2 = L d2 A, which is d2 in other bases, apart from column i0 of the d1
+pivot: the d1 stage certifies that column and zeroes it, and no pivot
+lies on it.  `pivot_block_is_unit` reads M2 and checks,
 for each d2 pivot (r_k, c_k), that M2[r_k][c_k] has a unique
 minimal-degree term, of degree v_k, and that every other entry
 M2[r_k][c_j] on a pivot column has all of its terms of degree > v_k.
@@ -37,11 +37,13 @@ failed certificate, each vanishing verdict holds over the Novikov ring:
 
 - H^0 = 0 when d1 has a pivot: that entry g - 1 is a unit.
 - H^2 = 0 when rank2 = r2: every row is a pivot row.
-- H^1 = 0 when r1 - rank1 - rank2 = 0.  Clearing d1 with the
-  exact inverse of its pivot p, instead of the truncated one, changes only
-  column i0 of A, which the d2 stage neither reads nor writes and the
-  certificate never uses.  Over the Novikov ring d1 becomes p e_i0 and,
-  since d2 d1 = 0 in the presented group's ring, column i0 of the exact
+- H^1 = 0 when r1 - rank1 - rank2 = 0.  Clearing d1 with the exact
+  inverse of its pivot p is the P1 base change column i0 += column r *
+  (x_r p^-1) over the other d1 entries x_r.  It moves only column i0 of
+  M2 and A (no other column of A is nonzero in row i0), which the d2
+  stage neither reads nor writes and the certificate never uses, so it is
+  left virtual.  Over the Novikov ring d1 becomes p e_i0 and, since
+  d2 d1 = 0 in the presented group's ring, column i0 of the exact
   L d2 A vanishes.  Then the pivot columns are all the other columns
   (all columns when d1 has no pivot), B is invertible on them and p is a
   unit on i0, so P2 -> P1 -> P0 is exact at P1.
@@ -160,9 +162,9 @@ class _Elimination:
     inverses are truncated series); every clearing step is certified
     against the frontier, so a completed sweep is a truncation-sound
     diagonalization, and M2 and A hold it exactly.  M1 is d1 as an
-    r1 x 1 matrix, so both stages share one pivot chooser, one clearing
-    step and one P1 base change.  A missing pivot or a failed certificate
-    ends the stage with a stall.
+    r1 x 1 matrix, so both stages share one pivot chooser; the d1 stage
+    only certifies its clearing, and applies no base change.  A missing
+    pivot or a failed certificate ends the stage with a stall.
     """
 
     def __init__(self, cx, chi, trunc):
@@ -227,26 +229,18 @@ class _Elimination:
         used = {r for r, _ in self.pivots2}
         return [r for r in range(len(self.M2)) if r not in used]
 
-    def _p1(self, dst, src, x):
-        """P1 base change: column dst += column src * x, on M2 and on A."""
-        for row in self.M2 + self.A:
-            row[dst] = row[dst] + ring_mul(row[src], x)
-
-    def _clear_column(self, step, M, rows, r0, c0, pinv, p1):
-        """Clear column c0 of M on `rows` off the pivot (r0, c0) by the row
-        operations row_r -= (M[r][c0] pinv) row_r0 on every column; with
-        `p1`, each is mirrored by its inverse on the P1 basis.  None, or the
-        first stall."""
+    def _clear_column(self, rows, r0, c0, pinv):
+        """Clear column c0 of M2 on `rows` off the pivot (r0, c0) by the row
+        operations row_r -= (M2[r][c0] pinv) row_r0 on every column.  None, or
+        the first stall."""
         for r in rows:
-            row = M[r]
+            row = self.M2[r]
             if r == r0 or beyond_frontier(self.ctx, row[c0]):
                 continue
             f = ring_mul(row[c0], pinv)
-            for j, y in enumerate(M[r0]):
+            for j, y in enumerate(self.M2[r0]):
                 row[j] = row[j] - ring_mul(f, y)
-            if p1:
-                self._p1(r0, r, f)
-            stall = self._certify(step, r, c0, row[c0])
+            stall = self._certify("column clearing", r, c0, row[c0])
             if stall:
                 return stall
         return None
@@ -261,28 +255,33 @@ class _Elimination:
                 self.stall1 = f"row {stall[1]}: {stall[2]}"
             return True
         _, i0, pinv = pivot
-        self.stall1 = (self._clear_column("clearing", self.M1, range(len(self.M1)),
-                                          i0, 0, pinv, True)
-                       or self._check_consumed_column(i0, pinv))
+        self.stall1 = self._certify_d1(i0, pinv)
         if self.stall1:
             return False
         self.rank1 = 1
         self.consumed_cols.add(i0)
         return True
 
-    def _check_consumed_column(self, i0, pinv):
-        """The consumed column of M2 is zero in the presented group's ring:
-        row_j . d1 equals cx.composite(j) exactly (free words cannot cancel
-        r_j - 1), the other d1 entries are certified zero, so the column
-        entry must agree with composite(j) * p^-1 below the frontier.
-        Verify, then zero it."""
-        zero = self.cx.ring.zero()
-        for j, row in enumerate(self.M2):
-            stall = self._certify("column check", j, i0,
-                                  row[i0] - ring_mul(self.cx.composite(j), pinv))
+    def _certify_d1(self, i0, pinv):
+        """Certify clearing d1 off its pivot p = g - 1 by the residual
+        e = p p^-1 - 1 (p^-1, a series in g, commutes with p).  Row r keeps
+        x - (x p^-1) p = -x e.  The virtual base change would leave M2[j][i0]
+        = (row_j . d1) p^-1 - d2[j][i0] e, and row_j . d1 = r_j - 1 is zero
+        in the presented group's ring, so d2[j][i0] e is certified before
+        the entry is zeroed.  None, or the first stall."""
+        e = ring_mul(self.M1[i0][0], pinv) - self.cx.ring.one()
+        for r, row in enumerate(self.M1):
+            if r == i0 or beyond_frontier(self.ctx, row[0]):
+                continue
+            row[0] = -ring_mul(row[0], e)
+            stall = self._certify("clearing", r, 0, row[0])
             if stall:
                 return stall
-            row[i0] = zero
+        for j, row in enumerate(self.M2):
+            stall = self._certify("column check", j, i0, ring_mul(row[i0], e))
+            if stall:
+                return stall
+            row[i0] = self.cx.ring.zero()
         return None
 
     # -- stage 2: the block M2 on active columns
@@ -297,8 +296,7 @@ class _Elimination:
                     self.stall2 = f"column {stall[0]}: {stall[2]}"
                 return
             c0, r0, pinv = pivot
-            self.stall2 = (self._clear_column("column clearing", self.M2, rows,
-                                              r0, c0, pinv, False)
+            self.stall2 = (self._clear_column(rows, r0, c0, pinv)
                            or self._clear_row(r0, c0, pinv, cols))
             if self.stall2:
                 return
@@ -306,13 +304,15 @@ class _Elimination:
             self.pivots2.append((r0, c0))
 
     def _clear_row(self, r0, c0, pinv, cols):
-        """Clear row r0 of M2 off the pivot by P1 base changes (the M1 rows
-        there are zero).  None, or the first stall."""
+        """Clear row r0 of M2 off the pivot by P1 base changes on M2 and A
+        (the M1 rows there are zero).  None, or the first stall."""
         row = self.M2[r0]
         for j in cols:
             if j == c0 or beyond_frontier(self.ctx, row[j]):
                 continue
-            self._p1(j, c0, -ring_mul(pinv, row[j]))
+            x = -ring_mul(pinv, row[j])
+            for line in self.M2 + self.A:
+                line[j] = line[j] + ring_mul(line[c0], x)
             stall = self._certify("row clearing", r0, j, row[j])
             if stall:
                 return stall
@@ -344,8 +344,8 @@ def pivot_block_is_unit(ctx, T, pivots):
 def _run_elimination(cx, chi, trunc):
     """One elimination at one truncation, and its verdicts and obstructions.
 
-    A failed d1 certificate leaves M2 half transformed, so d2 does not run
-    and every degree is inconclusive with the d1 obstruction."""
+    A failed d1 certificate leaves d1 uncleared, so d2 does not run and
+    every degree is inconclusive with the d1 obstruction."""
     elim = _Elimination(cx, chi, trunc)
     d2_runs = elim.eliminate_d1()
     if d2_runs:

@@ -290,11 +290,12 @@ def _sweep_key(ctx, beta_plus):
     For a term h of beta_plus of lex-positive degree let l(h) be its first
     level of nonzero degree.  If each h lies in G_l(h), right multiplication
     by h adds degrees on levels <= l(h), so the degree cut after L = max l(h)
-    rises strictly with every factor: the key is L + 1 levels.  Membership
-    is read on the projected element when the context projects.  A term of
-    non-positive degree makes the key 0 levels; its powers may still leave
-    the box through cross terms.  When _check_divergence proves that they
-    do not, it raises NoStrictMinimum.
+    rises strictly with every factor: the key is L + 1 levels.  Every
+    element lies in G_0; membership in a deeper G_l is read on the projected
+    element when the context projects.  A term of non-positive degree makes
+    the key 0 levels; its powers may still leave the box through cross
+    terms.  When _check_divergence proves that they do not, it raises
+    NoStrictMinimum.
     """
     group = ctx.chi.group
     levels, nested, non_positive = [0], True, []
@@ -306,7 +307,7 @@ def _sweep_key(ctx, beta_plus):
             nested = False
         else:
             levels.append(level)
-            nested = nested and group.leading_level(_image(ctx, h)) >= level
+            nested = nested and (level == 0 or group.leading_level(_image(ctx, h)) >= level)
     if non_positive:
         _check_divergence(ctx, beta_plus, non_positive)
     return max(levels) + 1 if nested else 0

@@ -142,18 +142,14 @@ class FreeChainComplex:
     def euler_characteristic(self):
         return self.ranks[0] - self.ranks[1] + self.ranks[2]
 
-    def composite(self, j):
-        """Exact value of (row j of d2) . d1: zero over the quotient ring,
-        r_j - 1 over free words (the Fox fundamental identity)."""
-        ring = self.ring
-        if self.projected:
-            return ring.zero()
-        return ring.monomial(ring.field.one, self.presentation.relators[j]) - ring.one()
-
     def check_composite(self):
-        """Every row of d2 times d1 equals its exact value `composite`."""
+        """Every row j of d2 times d1 equals its exact value: zero over the
+        quotient ring, r_j - 1 over free words (the Fox fundamental identity)."""
+        ring = self.ring
         for j, row in enumerate(self.d2):
-            if not (dot(row, self.d1) - self.composite(j)).is_zero():
+            value = ring.zero() if self.projected else (
+                ring.monomial(ring.field.one, self.presentation.relators[j]) - ring.one())
+            if not (dot(row, self.d1) - value).is_zero():
                 raise AssertionError(f"d2 row {j} times d1 is not r_{j} - 1 (zero if projected)")
         return True
 

@@ -28,8 +28,8 @@ def test_series_h3_trace_counts_the_series_loop():
 def test_criterion_corpus_trace_sees_the_degree_path():
     # free-word products no longer call FreeGroup.collect, and over the
     # class-1 quotients of this workload a word's degree is read off its
-    # letters: QuotientMap.apply_word sees the projection of each letter
-    # once per context and the images that _sweep_key reads
+    # letters and _sweep_key reads no image: QuotientMap.apply_word sees
+    # only the projection of each letter, once per context
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", "criterion-corpus", "--seed", "1",
          "--seconds", "0.5", "--trace", "1"],

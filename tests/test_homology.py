@@ -206,6 +206,35 @@ class TestNovCohomology:
         assert report.verdicts == {0: INCONCLUSIVE, 1: INCONCLUSIVE, 2: INCONCLUSIVE}
         assert report.obstructions == {0: stall, 1: stall, 2: stall}
 
+    @pytest.mark.parametrize("k,stall", [
+        (1, "clearing failed its certificate at row 0, column 0: "
+            "residual degree (1) inside the frontier"),
+        (4, "column check failed its certificate at row 0, column 2: "
+            "residual degree (3) inside the frontier"),
+    ], ids=["clearing", "column-check"])
+    def test_perturbed_d1_inverse_fails_as_with_the_explicit_base_change(
+            self, monkeypatch, k, stall):
+        # parafree over its abelianisation, chi(c) = 1 at frontier 4: the d1
+        # pivot is c - 1, and c^k added to its inverse puts c^k and c^(k+1)
+        # into the residual e.  At k = 1 clearing row 0 (a - 1) sees degree 1;
+        # at k = 4 the cleared rows lie beyond the box, and the term of
+        # degree -1 in d2[0][2] brings the column check's residual to 3.
+        # Either way the d1 stage fails as the explicit base change does
+        P = parse_presentation((DATA / "parafree.fpg").read_text())
+        q = nilpotent_quotient(P, 1)
+        cx = fox_complex(P, q, QQ, project=False)
+        chi = parse_mchar((DATA / "chi_parafree_c.mchar").read_text(), q.target)
+        shift = cx.ring.parse(f"c^{k}")
+        monkeypatch.setattr(homology, "nov_invert", lambda beta: NovSeries(
+            beta.ctx, nov_invert(beta).body + shift))
+        obstructions = []
+        for elimination in (_Elimination, ExplicitD1Elimination):
+            monkeypatch.setattr(homology, "_Elimination", elimination)
+            elim, report = _run_elimination(cx, chi, Trunc([4], 32))
+            assert elim.rank1 == 0 and elim.rank2 == 0 and elim.stall2 is None
+            obstructions.append(report.obstructions)
+        assert obstructions[0] == obstructions[1] == {d: f"d1: {stall}" for d in (0, 1, 2)}
+
 
 def matmul(X, Y):
     """The product of two matrices of ring elements."""
@@ -225,16 +254,60 @@ class RecordingElimination(_Elimination):
         self.L = [[one if i == j else zero for j in range(r2)] for i in range(r2)]
         self.multipliers = {}
 
-    def _clear_column(self, step, M, rows, r0, c0, pinv, p1):
-        if M is self.M2:
-            self.multipliers = {r: (r0, ring_mul(M[r][c0], pinv)) for r in rows}
-        return super()._clear_column(step, M, rows, r0, c0, pinv, p1)
+    def _clear_column(self, rows, r0, c0, pinv):
+        self.multipliers = {r: (r0, ring_mul(self.M2[r][c0], pinv)) for r in rows}
+        return super()._clear_column(rows, r0, c0, pinv)
 
     def _certify(self, step, r, c, residual):
         if step == "column clearing":
             r0, f = self.multipliers[r]
             self.L[r] = [x - ring_mul(f, y) for x, y in zip(self.L[r], self.L[r0])]
         return super()._certify(step, r, c, residual)
+
+
+class ExplicitD1Elimination(_Elimination):
+    """An elimination whose d1 stage applies the P1 base change that
+    `_Elimination` leaves virtual: each row operation clearing M1 is
+    mirrored on column i0 of M2 and A, and that column is then checked
+    against (row_j . d1) p^-1 and zeroed.  Records i0 and p^-1."""
+
+    def __init__(self, cx, chi, trunc):
+        super().__init__(cx, chi, trunc)
+        self.i0 = self.pinv = None
+
+    def eliminate_d1(self):
+        pivot, stall = self._choose_pivot((0, i, row[0]) for i, row in enumerate(self.M1))
+        if pivot is None:
+            if stall:
+                self.stall1 = f"row {stall[1]}: {stall[2]}"
+            return True
+        _, self.i0, self.pinv = pivot
+        self.stall1 = self._clear_d1(self.i0, self.pinv)
+        if self.stall1:
+            return False
+        self.rank1 = 1
+        self.consumed_cols.add(self.i0)
+        return True
+
+    def _clear_d1(self, i0, pinv):
+        p = self.M1[i0][0]
+        for r, row in enumerate(self.M1):
+            if r == i0 or beyond_frontier(self.ctx, row[0]):
+                continue
+            f = ring_mul(row[0], pinv)
+            row[0] = row[0] - ring_mul(f, p)
+            for line in self.M2 + self.A:
+                line[i0] = line[i0] + ring_mul(line[r], f)
+            stall = self._certify("clearing", r, 0, row[0])
+            if stall:
+                return stall
+        for j, row in enumerate(self.M2):
+            composite = dot(self.cx.d2[j], self.cx.d1)
+            stall = self._certify("column check", j, i0, row[i0] - ring_mul(composite, pinv))
+            if stall:
+                return stall
+            row[i0] = self.cx.ring.zero()
+        return None
 
 
 class ExhaustiveElimination(_Elimination):
@@ -289,13 +362,18 @@ def elimination_corpus():
 class TestPivotSearch:
     def test_same_eliminations_as_the_exhaustive_search(self, monkeypatch):
         # a seeded sample of the corpus gives the same verdicts, obstructions,
-        # pivots, stalls, M2 and A with either search
+        # pivots, stalls, M1, M2 and A with either search, and with the
+        # explicit d1 base change outside the column i0 it writes
         def run(cx, chi, trunc, elimination):
             monkeypatch.setattr(homology, "_Elimination", elimination)
             elim, report = _run_elimination(cx, chi, trunc)
-            return (report.verdicts, report.obstructions, elim.rank1, elim.pivots2,
-                    elim.consumed_cols, elim.stall1, elim.stall2, elim.M2, elim.A,
-                    elim.vanishing_is_exact())
+            return elim, (report.verdicts, report.obstructions, elim.rank1, elim.pivots2,
+                          elim.consumed_cols, elim.stall1, elim.stall2, elim.M1, elim.M2,
+                          elim.A, elim.vanishing_is_exact())
+
+        def outside_column(result, i0):
+            *head, M2, A, exact = result
+            return (*head, *([row[:i0] + row[i0 + 1:] for row in M] for M in (M2, A)), exact)
 
         # parafree with its relator rotated, pattern -- of chi(b): d2 stalls
         # on an inversion in column 0, after a tie in column 2 has failed
@@ -303,17 +381,27 @@ class TestPivotSearch:
         cases = [(parse_presentation((DATA / f"{name}.fpg").read_text()), *case)
                  for name, *case in random.Random(25).sample(elimination_corpus(), 150)]
         cases.append((parse_presentation(rotated), 2, False, [[1, 0], [1]], [-1, -1], 2))
-        results = []
+        results, d1_pivots = [], 0
         for P, cls, project, comps, signs, f in cases:
             q = nilpotent_quotient(P, cls)
             cx = fox_complex(P, q, QQ, project=project)
             chi = MultiChar(q.target, comps).with_signs(signs)
             trunc = Trunc([f] * q.target.nlevels, 32)
-            results.append(run(cx, chi, trunc, _Elimination))
-            assert results[-1] == run(cx, chi, trunc, ExhaustiveElimination)
+            results.append(run(cx, chi, trunc, _Elimination)[1])
+            assert results[-1] == run(cx, chi, trunc, ExhaustiveElimination)[1]
+            explicit, reference = run(cx, chi, trunc, ExplicitD1Elimination)
+            if explicit.i0 is None:
+                assert reference == results[-1]
+                continue
+            assert outside_column(reference, explicit.i0) == outside_column(results[-1], explicit.i0)
+            # the pivot g - 1 commutes with its inverse, a series in g
+            p = cx.d1[explicit.i0]
+            assert ring_mul(p, explicit.pinv) == ring_mul(explicit.pinv, p)
+            d1_pivots += 1
         # the sample meets stalls of both stages and every verdict
         assert any(r[5] for r in results) and any(r[6] for r in results)
         assert {v for r in results for v in r[0].values()} == {VANISHES, WITNESS, INCONCLUSIVE}
+        assert d1_pivots > 100
 
     def test_inverts_only_the_pivots(self, mapping_torus, monkeypatch):
         # the mapping torus, chi = 1, pattern +: one d1 and two d2 pivots,

@@ -165,6 +165,21 @@ class TestLetterDegrees:
                 assert all(len(w) == 1 and w[0][1] == 1 for w in projected)
         assert parsed == len(_fpg_files()) - 1
 
+    def test_one_level_inversion_projects_letters_only(self):
+        # a term of beta_+ whose first nonzero degree level is 0 keys the
+        # sweep without its image, so over a one-level quotient nov_invert
+        # projects letters and no longer word
+        P = parse_presentation((DATA / "parafree.fpg").read_text())
+        q = nilpotent_quotient(P, 1)
+        chi = parse_mchar((DATA / "chi_parafree_c.mchar").read_text(), q.target)
+        projected = []
+        ctx = NovContext(chi, Trunc([4], 16), lambda w: projected.append(w) or q.apply_word(w))
+        ring = GroupRing(P.free_group, QQ)
+        beta = ring.parse("1 - 2 c b a c")
+        gamma = nov_invert(NovSeries(ctx, beta))
+        assert projected and all(len(w) == 1 and w[0][1] == 1 for w in projected)
+        assert beyond_frontier(ctx, ring_mul(beta, gamma.body) - ring.one())
+
     def test_two_level_context_projects_each_word(self):
         # level-1 degrees are not additive: [c,b] has degree (0,1), its
         # letters sum to (0,0)
