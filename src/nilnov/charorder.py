@@ -122,7 +122,8 @@ def _floor(x):
 
 
 def _simplest_in_open(lo, hi):
-    """Simplest rational strictly between lo and hi (either may be None)."""
+    """Simplest rational strictly between lo < hi (either may be None);
+    solve_strict checks lo < hi, and both recursions keep it."""
     if lo is None and hi is None:
         return Fraction(0)
     if lo is None:
@@ -133,8 +134,6 @@ def _simplest_in_open(lo, hi):
         if lo < 0:
             return Fraction(0)
         return Fraction(_floor(lo) + 1)
-    if not lo < hi:
-        raise Infeasible(f"empty interval ({lo}, {hi})")
     if lo < 0 < hi:
         return Fraction(0)
     if hi <= 0:
@@ -157,9 +156,6 @@ def solve_strict(diffs, rank):
     Raises Infeasible when the system has no solution.
     """
     diffs = [list(map(Fraction, d)) for d in diffs]
-    for d in diffs:
-        if len(d) != rank:
-            raise MismatchedGroup("difference vector of wrong rank")
     systems = [None] * rank
     current = diffs
     for k in range(rank - 1, 0, -1):

@@ -10,7 +10,8 @@ below the frontier.  A stalled elimination is reported as inconclusive with
 its first failure in (column, row) order, never as a verdict.  A clearing
 step whose certificate fails stalls the same way: its pattern is
 inconclusive, with the failed step, the entry and the lex-minimal degree of
-the residual inside the frontier as the obstruction.
+the residual inside the frontier as the obstruction.  H^0 is never a
+witness: d1 always pivots or stalls (see `_Elimination.eliminate_d1`).
 
 Exact vanishing for one-level characters.  With one level the degree is a
 real valuation v on the group ring: v(xy) >= v(x) + v(y), and an element
@@ -44,9 +45,8 @@ failed certificate, each vanishing verdict holds over the Novikov ring:
   stage neither reads nor writes and the certificate never uses, so it is
   left virtual.  Over the Novikov ring d1 becomes p e_i0 and, since
   d2 d1 = 0 in the presented group's ring, column i0 of the exact
-  L d2 A vanishes.  Then the pivot columns are all the other columns
-  (all columns when d1 has no pivot), B is invertible on them and p is a
-  unit on i0, so P2 -> P1 -> P0 is exact at P1.
+  L d2 A vanishes.  Then the pivot columns are all the other columns, B is
+  invertible on them and p is a unit on i0, so P2 -> P1 -> P0 is exact at P1.
 
 The truncated pivot inverses, and the frontier widening of
 `novikov.widened_context` that decides how far they are expanded, do not
@@ -198,6 +198,8 @@ class _Elimination:
                 ranked.append(((minimal_term(self.ctx, e)[2], c, r), e))
             except NoStrictMinimum as err:
                 failed.append((c, r, str(err)))
+        if not ranked:  # nothing to invert: the frontier need not be widened
+            return None, min(failed, default=None)
         # multiplying a cleared residual by an entry may lower degrees by the
         # matrices' negative depth, and the result must still certify
         inv_ctx = widened_context(self.ctx, [e for M in (self.M1, self.M2)
@@ -248,11 +250,13 @@ class _Elimination:
     # -- stage 1: the column M1
 
     def eliminate_d1(self):
-        """Clear d1 off its pivot; whether d2 may run (see _run_elimination)."""
+        """Clear d1 off its pivot; whether d2 may run (see _run_elimination).
+        d1 pivots or stalls: g - 1 keeps its identity term, of degree 0, in
+        the box unless it is projected and g maps to 1, and a map onto a group
+        sending every g to 1 makes chi zero, which nov_cohomology refuses."""
         pivot, stall = self._choose_pivot((0, i, row[0]) for i, row in enumerate(self.M1))
         if pivot is None:
-            if stall:  # without a stall, d1 is certified zero
-                self.stall1 = f"row {stall[1]}: {stall[2]}"
+            self.stall1 = f"row {stall[1]}: {stall[2]}"
             return True
         _, i0, pinv = pivot
         self.stall1 = self._certify_d1(i0, pinv)
@@ -371,8 +375,6 @@ def _run_elimination(cx, chi, trunc):
 
 
 def _describe_witness(cx, elim, degree):
-    if degree == 0:
-        return "the augmentation cocycle (d1 is certified zero)"
     if degree == 2:
         rows = elim._unused_rows()
         return f"dual basis cocycle of relator row(s) {rows}"
@@ -444,7 +446,10 @@ def top_degree(presentation):
 
 def euler_check(cx, reports):
     """Alternating rank sums of all reports must equal chi(C); reports with
-    undetermined degrees are skipped (they assert nothing)."""
+    undetermined degrees are skipped (they assert nothing).  Bookkeeping:
+    betti and nov_cohomology set h = (r0 - rank1, r1 - rank1 - rank2,
+    r2 - rank2), whose alternating sum is chi(C) for any ranks, so only a
+    hand-made report raises InconsistentReport."""
     target = cx.euler_characteristic()
     for report in reports:
         total = report.alternating_sum()

@@ -17,15 +17,13 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def hermite_row_form(mat, ncols=None):
+def hermite_row_form(mat, ncols):
     """Row Hermite normal form.
 
     Returns (H, U) with U unimodular, U*mat = H, H in row echelon form with
     positive pivots and entries above each pivot reduced into [0, pivot).
     Zero rows of H are trimmed.
     """
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
     H = _copy(mat)
     m = len(H)
     U = identity(m)
@@ -46,8 +44,7 @@ def hermite_row_form(mat, ncols=None):
                 U[piv] = [x - q * y for x, y in zip(U[piv], U[i])]
                 H[piv], H[i] = H[i], H[piv]
                 U[piv], U[i] = U[i], U[piv]
-        if H[piv][col] == 0:
-            continue
+        # Euclid leaves the column's gcd at piv, nonzero as H[piv][col] was
         H[row], H[piv] = H[piv], H[row]
         U[row], U[piv] = U[piv], U[row]
         if H[row][col] < 0:
@@ -63,7 +60,7 @@ def hermite_row_form(mat, ncols=None):
     return H[:row], U
 
 
-def diagonal_form(mat, nrows=None, ncols=None):
+def diagonal_form(mat, nrows, ncols):
     """Diagonal form with transforms: returns (D, U, V), U*mat*V = D.
 
     U and V are unimodular; D is diagonal, its nonzero entries positive and
@@ -81,10 +78,6 @@ def diagonal_form(mat, nrows=None, ncols=None):
     - `minimal_multiple_in_lattice` reads d and its coefficients off D
       entry by entry.
     """
-    if nrows is None:
-        nrows = len(mat)
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
     D = _copy(mat)
     U = identity(nrows)
     V = identity(ncols)

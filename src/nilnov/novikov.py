@@ -263,10 +263,10 @@ def minimal_term(ctx, elt):
     """
     best = None
     count = 0
-    for g in elt.support():
+    for g, c in elt.terms.items():
         d = ctx.deg(g)
         if best is None or d < best[2]:
-            best = (g, elt.terms[g], d)
+            best = (g, c, d)
             count = 1
         elif d == best[2]:
             count += 1
@@ -298,30 +298,34 @@ def _sweep_key(ctx, beta_plus):
     NoStrictMinimum.
     """
     group = ctx.chi.group
-    levels, nested, non_positive = [0], True, []
+    levels, nested, non_positive, images = [0], True, [], {}
     for h in beta_plus.terms:
         d = ctx.deg(h)
         level = next((i for i, x in enumerate(d) if x), None)
+        if level != 0:
+            images[h] = _image(ctx, h)
         if level is None or d[level] < 0:
             non_positive.append(h)
             nested = False
         else:
             levels.append(level)
-            nested = nested and (level == 0 or group.leading_level(_image(ctx, h)) >= level)
+            nested = nested and (level == 0 or group.leading_level(images[h]) >= level)
     if non_positive:
-        _check_divergence(ctx, beta_plus, non_positive)
+        _check_divergence(ctx, images, non_positive)
     return max(levels) + 1 if nested else 0
 
 
-def _check_divergence(ctx, beta_plus, non_positive):
+def _check_divergence(ctx, images, non_positive):
     """Raise NoStrictMinimum for the first term h of non_positive that keeps
     the chain-by-chain series inside the box through m_max factors.
 
     No term of beta_plus has negative level-0 degree (beta_0 is minimal and
     chi_0 a homomorphism), so the level-0-degree-0 part of beta_plus^m is
-    Z^m, Z the level-0-degree-0 part of beta_plus; each h is in Z.  Z lies
-    in G_l, l its least leading level, and the level-l exponent vector v is
-    a homomorphism there.  If h is the only term of Z maximising
+    Z^m, Z the level-0-degree-0 part of beta_plus (`images` maps its terms
+    to chi's group); each h is in Z.  Z lies in G_l, l its least leading
+    level (l < n: a term g q^-1 with image 1 would tie the body term g with
+    beta_0 = r q, which minimal_term refuses), and the level-l exponent
+    vector v is a homomorphism there.  If h is the only term of Z maximising
     <v(h), v(.)>, and v(h) != 0, then c^m h^m (c the coefficient of h) is
     the unique term of Z^m maximising it: nothing cancels it.  When h^k is
     inside the box for every k <= m_max + 1, the series keeps c^k h^k at
@@ -330,10 +334,7 @@ def _check_divergence(ctx, beta_plus, non_positive):
     factors.  Otherwise nothing is proved for h.
     """
     group = ctx.chi.group
-    images = {g: _image(ctx, g) for g in beta_plus.terms if ctx.deg(g)[0] == 0}
     level = min(map(group.leading_level, images.values()))
-    if level == group.nlevels:
-        return
     vectors = {g: group.level_vector(x, level) for g, x in images.items()}
     for h in non_positive:
         v = vectors[h]

@@ -211,7 +211,10 @@ def free_abelian_group(gen_names):
 
 
 def nilpotent_quotient(presentation, c):
-    """Torsion-free class-c quotient (c = 1 or 2) with its QuotientMap."""
+    """Torsion-free class-c quotient (c = 1 or 2) with its QuotientMap.
+    The isolator I of the normal closure is normal: in class 2 a root p it
+    inserts has p^d in I, so [p, x]^d = [p^d, x] is in I, and so is [p, x]
+    (y -> [y, x] is a homomorphism, I's level-1 lattice saturated)."""
     if c not in (1, 2):
         raise ClassUnsupported(f"class {c} not supported (only 1 and 2)")
     P = presentation
@@ -225,7 +228,6 @@ def nilpotent_quotient(presentation, c):
     if not N.is_trivial():
         N.normal_close()
         N = isolator(F, N)
-        N.normal_close()
     Q, project = quotient_by_normal(F, N)
     images = [project(F.generator(i)) for i in range(len(P.gen_names))]
     return QuotientMap(P, Q, images)

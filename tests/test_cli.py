@@ -268,6 +268,17 @@ FPG_KEYWORDS = "(expected 'group' or 'gens' or 'rel')"
      "line 4: expected 'conj <y> <x> = <word>'"),
     (["theorem-f", str(DATA / "f2.fpg"), "--char", str(DATA / "chi_torus.mchar"), "-d", "2"],
      "degree 2 is not the top degree 1 of this complex"),
+    # a^-1 b has its 4th power in [c,b] modulo N, a level-0 root the lower
+    # central series cannot take; ROADMAP item 10 (the isolated series)
+    # turns this row into a quotient
+    (["nq", (".fpg", "gens a b c\nrel a c a^-1 c^-1 b^3 a^-4 b\n"), "--class", "2"],
+     "quotient requires a non-induced central series (unsaturated level lattice)"),
+    (["nq", str(DATA / "f2.fpg"), "--class", "3"], "class 3 not supported (only 1 and 2)"),
+    (["lcs", str(DATA / "heis.pcg"), "--class", "0"], "class bound must be >= 1"),
+    # a repeated chain point is a zero difference: with rank 2 it is met
+    # while eliminating a variable, with rank 1 in the system that is left
+    (["fit-char", "--rank", "2", "0,1; 0,1"], "derived constraint 0 > 0"),
+    (["fit-char", "--rank", "1", "1; 1"], "derived constraint 0 > 0"),
 ], ids=["field", "frontier", "frontier-zero-denominator", "mmax",
         "nov-h-frontier-zero", "nov-h-frontier-count", "theorem-f-frontier-negative",
         "mchar-zero-denominator", "literal-zero-denominator", "literal-outside-field",
@@ -286,7 +297,9 @@ FPG_KEYWORDS = "(expected 'group' or 'gens' or 'rel')"
         "fpg-missing-gens", "fpg-trivial-relator", "fpg-bad-exponent",
         "pcg-keyword-pcgroups", "pcg-keyword-levels", "pcg-keyword-conjugate",
         "mchar-keyword-chars", "mchar-keyword-charm", "pcg-second-header", "fpg-second-header",
-        "mchar-missing-colon", "pcg-conj-missing-equals", "theorem-f-degree-above-top"])
+        "mchar-missing-colon", "pcg-conj-missing-equals", "theorem-f-degree-above-top",
+        "nq-unsaturated-level-lattice", "nq-class-3", "lcs-class-0",
+        "fit-char-repeated-point-rank-2", "fit-char-repeated-point-rank-1"])
 def test_bad_input_is_an_error(capsys, tmp_path, argv, message):
     argv = list(argv)
     for i, arg in enumerate(argv):

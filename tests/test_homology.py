@@ -235,6 +235,34 @@ class TestNovCohomology:
             obstructions.append(report.obstructions)
         assert obstructions[0] == obstructions[1] == {d: f"d1: {stall}" for d in (0, 1, 2)}
 
+    @pytest.mark.parametrize("signs,stall", [
+        ([1], "row 0, column 0: residual degree (4) inside the frontier"),
+        ([-1], "row 1, column 0: residual degree (-4) inside the frontier"),
+    ], ids=["+", "-"])
+    def test_perturbed_d2_inverse_fails_column_clearing(self, mapping_torus, monkeypatch,
+                                                        signs, stall):
+        # the mapping torus over its abelianisation, chi(t) = 1 at frontier
+        # 8: t^3 added to the first d2 pivot's inverse leaves x t^3 p in a
+        # cleared entry x of the pivot's column, inside the box, so column
+        # clearing fails its certificate on real data.  d1 has pivoted, so
+        # H^0 still vanishes
+        q = nilpotent_quotient(mapping_torus, 1)
+        cx = fox_complex(mapping_torus, q, QQ, project=False)
+        shift, inverted = cx.ring.parse("t^3"), []
+
+        def perturbed(beta):
+            inverted.append(beta)
+            body = nov_invert(beta).body
+            return NovSeries(beta.ctx, body + shift if len(inverted) == 2 else body)
+
+        monkeypatch.setattr(homology, "nov_invert", perturbed)
+        chi = MultiChar(q.target, [[1]]).with_signs(signs)
+        elim, report = _run_elimination(cx, chi, Trunc([8], 48))
+        assert elim.rank1 == 1 and elim.rank2 == 0 and len(inverted) == 2
+        obstruction = f"d2: column clearing failed its certificate at {stall}"
+        assert report.verdicts == {0: VANISHES, 1: INCONCLUSIVE, 2: INCONCLUSIVE}
+        assert report.obstructions == {1: obstruction, 2: obstruction}
+
 
 def matmul(X, Y):
     """The product of two matrices of ring elements."""

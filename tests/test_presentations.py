@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from nilnov import (GF, FreeGroup, GroupRing, QQ, QuotientMap, fox_complex,
-                    nilpotent_quotient, parse_presentation, ring_mul)
+from nilnov import (GF, FreeGroup, GroupRing, MultiChar, NovContext, QQ, QuotientMap,
+                    Trunc, fox_complex, nilpotent_quotient, parse_presentation, ring_mul)
 from nilnov.errors import (ClassUnsupported, MismatchedGroup, ParseError,
                            RelatorNotKilled, UnknownGenerator)
 from nilnov.fields import rank
@@ -216,3 +217,25 @@ class TestNilpotentQuotient:
                                    for _ in range(rng.randint(0, 6))) for _ in range(2))
                 assert q.apply_word(u) == evaluate(q, u)
                 assert q.apply_word(fg.mul(u, v)) == Q.mul(q.apply_word(u), q.apply_word(v))
+
+    def test_multi_syllable_image_of_a_torsion_relator(self):
+        # a^2 = b^4 c^-6 makes a the root b^2 c^-3 (times [c,b]^-9 in class
+        # 2): every letter a^e takes apply_word's Q.pow path, and over the
+        # one-level quotient the degree NovContext reads off the letters is
+        # chi.deg of the image
+        P = parse_presentation("gens a b c\nrel a^2 b^-4 c^6\n")
+        fg = P.free_group
+        rng = random.Random(30)
+        words = [fg.collect((rng.randrange(3), rng.choice((-3, -2, -1, 1, 2, 3)))
+                            for _ in range(rng.randint(0, 8))) for _ in range(100)]
+        for c, image in ((1, "b^2 c^-3"), (2, "b^2 c^-3 [c,b]^-9")):
+            q = nilpotent_quotient(P, c)
+            assert q.target.format_elt(q.images[0]) == image
+            for w in words:
+                assert q.apply_word(w) == evaluate(q, w)
+        q = nilpotent_quotient(P, 1)
+        for values in ([1, 1], [Fraction(1, 2), -2]):
+            chi = MultiChar(q.target, [values])
+            ctx = NovContext(chi, Trunc([4], 8), q.apply_word)
+            for w in words:
+                assert ctx.deg(w) == chi.deg(q.apply_word(w))
