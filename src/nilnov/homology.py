@@ -12,6 +12,8 @@ step whose certificate fails stalls the same way: its pattern is
 inconclusive, with the failed step, the entry and the lex-minimal degree of
 the residual inside the frontier as the obstruction.  H^0 is never a
 witness: d1 always pivots or stalls (see `_Elimination.eliminate_d1`).
+A d1 stall of either kind leaves H^0 and H^1 inconclusive, and the d2
+stage still runs: H^2 = coker d2* depends on d2 alone.
 
 Exact vanishing for one-level characters.  With one level the degree is a
 real valuation v on the group ring: v(xy) >= v(x) + v(y), and an element
@@ -161,10 +163,10 @@ class _Elimination:
     All matrix arithmetic is exact on finite bodies (only the pivot
     inverses are truncated series); every clearing step is certified
     against the frontier, so a completed sweep is a truncation-sound
-    diagonalization, and M2 and A hold it exactly.  M1 is d1 as an
-    r1 x 1 matrix, so both stages share one pivot chooser; the d1 stage
-    only certifies its clearing, and applies no base change.  A missing
-    pivot or a failed certificate ends the stage with a stall.
+    diagonalization, and M2 and A hold it exactly.  Both stages share one
+    pivot chooser; the d1 stage searches d1 as given and only certifies its
+    clearing.  A missing pivot or a failed certificate ends a stage with a
+    stall.
     """
 
     def __init__(self, cx, chi, trunc):
@@ -172,7 +174,6 @@ class _Elimination:
             raise MismatchedGroup("the multicharacter must live on the complex's quotient group")
         self.cx = cx
         self.ctx = NovContext(chi, trunc, None if cx.projected else cx.qmap.apply_word)
-        self.M1 = [[e] for e in cx.d1]
         self.M2 = [list(row) for row in cx.d2]
         r1 = cx.ranks[1]
         one, zero = cx.ring.one(), cx.ring.zero()
@@ -202,8 +203,7 @@ class _Elimination:
             return None, min(failed, default=None)
         # multiplying a cleared residual by an entry may lower degrees by the
         # matrices' negative depth, and the result must still certify
-        inv_ctx = widened_context(self.ctx, [e for M in (self.M1, self.M2)
-                                             for row in M for e in row])
+        inv_ctx = widened_context(self.ctx, [*self.cx.d1, *(e for row in self.M2 for e in row)])
         for (_, c, r), e in sorted(ranked, key=lambda t: t[0]):
             try:
                 return (c, r, nov_invert(NovSeries(inv_ctx, e)).body), None
@@ -247,45 +247,43 @@ class _Elimination:
                 return stall
         return None
 
-    # -- stage 1: the column M1
+    # -- stage 1: the column d1
 
     def eliminate_d1(self):
-        """Clear d1 off its pivot; whether d2 may run (see _run_elimination).
-        d1 pivots or stalls: g - 1 keeps its identity term, of degree 0, in
-        the box unless it is projected and g maps to 1, and a map onto a group
-        sending every g to 1 makes chi zero, which nov_cohomology refuses."""
-        pivot, stall = self._choose_pivot((0, i, row[0]) for i, row in enumerate(self.M1))
+        """Pivot d1 and certify its virtual clearing, or stall; d2 runs
+        either way (see _run_elimination).  d1 pivots or stalls: g - 1 keeps
+        its identity term, of degree 0, in the box unless it is projected and
+        g maps to 1, and QuotientMap refuses a map that is not onto."""
+        pivot, stall = self._choose_pivot((0, i, e) for i, e in enumerate(self.cx.d1))
         if pivot is None:
             self.stall1 = f"row {stall[1]}: {stall[2]}"
-            return True
-        _, i0, pinv = pivot
-        self.stall1 = self._certify_d1(i0, pinv)
-        if self.stall1:
-            return False
-        self.rank1 = 1
-        self.consumed_cols.add(i0)
-        return True
+        else:
+            self.stall1 = self._certify_d1(*pivot[1:])
 
     def _certify_d1(self, i0, pinv):
         """Certify clearing d1 off its pivot p = g - 1 by the residual
-        e = p p^-1 - 1 (p^-1, a series in g, commutes with p).  Row r keeps
-        x - (x p^-1) p = -x e.  The virtual base change would leave M2[j][i0]
-        = (row_j . d1) p^-1 - d2[j][i0] e, and row_j . d1 = r_j - 1 is zero
-        in the presented group's ring, so d2[j][i0] e is certified before
-        the entry is zeroed.  None, or the first stall."""
-        e = ring_mul(self.M1[i0][0], pinv) - self.cx.ring.one()
-        for r, row in enumerate(self.M1):
-            if r == i0 or beyond_frontier(self.ctx, row[0]):
+        e = p p^-1 - 1 (p^-1, a series in g, commutes with p): row r would
+        keep x - (x p^-1) p = -x e, and M2[j][i0] would keep
+        (row_j . d1) p^-1 - d2[j][i0] e, where row_j . d1 = r_j - 1 is zero in
+        the presented group's ring.  Once all pass, column i0 is consumed and
+        zeroed in M2.  None, or the first stall; none at one level, where
+        nov_invert certified e beyond the frontier widened by every entry's
+        depth."""
+        e = ring_mul(self.cx.d1[i0], pinv) - self.cx.ring.one()
+        for r, x in enumerate(self.cx.d1):
+            if r == i0 or beyond_frontier(self.ctx, x):
                 continue
-            row[0] = -ring_mul(row[0], e)
-            stall = self._certify("clearing", r, 0, row[0])
+            stall = self._certify("clearing", r, 0, -ring_mul(x, e))
             if stall:
                 return stall
-        for j, row in enumerate(self.M2):
+        for j, row in enumerate(self.cx.d2):
             stall = self._certify("column check", j, i0, ring_mul(row[i0], e))
             if stall:
                 return stall
+        for row in self.M2:
             row[i0] = self.cx.ring.zero()
+        self.rank1 = 1
+        self.consumed_cols.add(i0)
         return None
 
     # -- stage 2: the block M2 on active columns
@@ -309,7 +307,8 @@ class _Elimination:
 
     def _clear_row(self, r0, c0, pinv, cols):
         """Clear row r0 of M2 off the pivot by P1 base changes on M2 and A
-        (the M1 rows there are zero).  None, or the first stall."""
+        (d1's other rows are cleared virtually, or only H^2 is read).  None,
+        or the first stall."""
         row = self.M2[r0]
         for j in cols:
             if j == c0 or beyond_frontier(self.ctx, row[j]):
@@ -348,13 +347,12 @@ def pivot_block_is_unit(ctx, T, pivots):
 def _run_elimination(cx, chi, trunc):
     """One elimination at one truncation, and its verdicts and obstructions.
 
-    A failed d1 certificate leaves d1 uncleared, so d2 does not run and
-    every degree is inconclusive with the d1 obstruction."""
+    A d1 stall of either kind leaves H^0 and H^1 inconclusive; d2 still
+    runs, and alone decides H^2."""
     elim = _Elimination(cx, chi, trunc)
-    d2_runs = elim.eliminate_d1()
-    if d2_runs:
-        elim.eliminate_d2()
-    ok1, ok2 = elim.stall1 is None, d2_runs and elim.stall2 is None
+    elim.eliminate_d1()
+    elim.eliminate_d2()
+    ok1, ok2 = elim.stall1 is None, elim.stall2 is None
     r0, r1, r2 = cx.ranks
     report = RankReport({0: r0 - elim.rank1 if ok1 else None,
                          1: r1 - elim.rank1 - elim.rank2 if ok1 and ok2 else None,
@@ -363,10 +361,8 @@ def _run_elimination(cx, chi, trunc):
     for d, hd in report.h.items():
         if hd is None:
             report.verdicts[d] = INCONCLUSIVE
-            if elim.stall2 and d in (1, 2):
-                report.obstructions[d] = f"d2: {elim.stall2}"
-            elif elim.stall1:
-                report.obstructions[d] = f"d1: {elim.stall1}"
+            report.obstructions[d] = (f"d2: {elim.stall2}" if elim.stall2 and d
+                                      else f"d1: {elim.stall1}")
         elif hd == 0:
             report.verdicts[d] = VANISHES
         else:

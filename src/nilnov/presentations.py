@@ -89,6 +89,9 @@ class QuotientMap:
         self.images = list(images)
         if len(self.images) != len(source.gen_names):
             raise RelatorNotKilled("one image per generator required")
+        pivots = Subgroup(target, self.images).pivots  # onto iff each pivots[i] starts x_i^1
+        if any(i not in pivots or pivots[i][0][1] != 1 for i in range(target.ngens)):
+            raise MismatchedGroup("the images do not generate the target: the map is not onto")
         for r in source.relators:
             if self.apply_word(r):
                 raise RelatorNotKilled(

@@ -1,6 +1,7 @@
 import itertools
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -187,9 +188,11 @@ class TestNovCohomology:
     @pytest.mark.parametrize("step,where", [("clearing", "row 1, column 0"),
                                             ("column check", "row 0, column 0")],
                              ids=["clearing", "column-check"])
-    def test_failed_d1_certificate_skips_d2(self, torus, monkeypatch, step, where):
+    def test_failed_d1_certificate_leaves_h2_to_d2(self, torus, monkeypatch, step, where):
         # either d1 step may fail: clearing d1 itself, or the check of the
-        # consumed column of d2 that follows it
+        # consumed column of d2 that follows it.  H^0 and H^1 are then
+        # inconclusive, and d2 still runs: column 0 (1 - a b a^-1) ties at
+        # degree 0, column 1 (a - a b a^-1 b^-1) pivots, and H^2 vanishes
         certify = _Elimination._certify
 
         def fail_d1_step(self, at_step, r, c, residual):
@@ -201,10 +204,10 @@ class TestNovCohomology:
         q = nilpotent_quotient(torus, 1)
         cx = fox_complex(torus, q, QQ, project=False)
         elim, report = _run_elimination(cx, MultiChar(q.target, [[1, 0]]), Trunc([8], 48))
-        assert elim.rank1 == 0 and elim.rank2 == 0 and elim.stall2 is None
+        assert elim.rank1 == 0 and elim.pivots2 == [(0, 1)] and elim.stall2 is None
         stall = f"d1: {step} failed its certificate at {where}"
-        assert report.verdicts == {0: INCONCLUSIVE, 1: INCONCLUSIVE, 2: INCONCLUSIVE}
-        assert report.obstructions == {0: stall, 1: stall, 2: stall}
+        assert report.verdicts == {0: INCONCLUSIVE, 1: INCONCLUSIVE, 2: VANISHES}
+        assert report.obstructions == {0: stall, 1: stall}
 
     @pytest.mark.parametrize("k,stall", [
         (1, "clearing failed its certificate at row 0, column 0: "
@@ -219,21 +222,47 @@ class TestNovCohomology:
         # into the residual e.  At k = 1 clearing row 0 (a - 1) sees degree 1;
         # at k = 4 the cleared rows lie beyond the box, and the term of
         # degree -1 in d2[0][2] brings the column check's residual to 3.
-        # Either way the d1 stage fails as the explicit base change does
+        # Either way the d1 stage fails as the explicit base change does, and
+        # d2, whose pivot inverse is left as it is, decides H^2 alike
         P = parse_presentation((DATA / "parafree.fpg").read_text())
         q = nilpotent_quotient(P, 1)
         cx = fox_complex(P, q, QQ, project=False)
         chi = parse_mchar((DATA / "chi_parafree_c.mchar").read_text(), q.target)
-        shift = cx.ring.parse(f"c^{k}")
-        monkeypatch.setattr(homology, "nov_invert", lambda beta: NovSeries(
-            beta.ctx, nov_invert(beta).body + shift))
-        obstructions = []
+        shift, inverted = cx.ring.parse(f"c^{k}"), []
+
+        def perturbed(beta):
+            inverted.append(beta)
+            body = nov_invert(beta).body
+            return NovSeries(beta.ctx, body + shift if len(inverted) == 1 else body)
+
+        monkeypatch.setattr(homology, "nov_invert", perturbed)
+        reports = []
         for elimination in (_Elimination, ExplicitD1Elimination):
             monkeypatch.setattr(homology, "_Elimination", elimination)
+            inverted.clear()
             elim, report = _run_elimination(cx, chi, Trunc([4], 32))
-            assert elim.rank1 == 0 and elim.rank2 == 0 and elim.stall2 is None
-            obstructions.append(report.obstructions)
-        assert obstructions[0] == obstructions[1] == {d: f"d1: {stall}" for d in (0, 1, 2)}
+            assert elim.rank1 == 0 and elim.rank2 == 1 and elim.stall2 is None
+            reports.append((report.verdicts, report.obstructions))
+        assert reports[0] == reports[1] == ({0: INCONCLUSIVE, 1: INCONCLUSIVE, 2: VANISHES},
+                                            {d: f"d1: {stall}" for d in (0, 1)})
+
+    @pytest.mark.parametrize("signs", [[1, 1], [1, -1]], ids=["++", "+-"])
+    def test_real_two_level_d1_certificate_failure(self, signs):
+        # over the class-2 quotient <a, c> of this one-relator group (b = c a^-2
+        # c^-1), the d1 pivot b - 1 inverts and certifies, but its residual
+        # times d2[0][1] keeps degree (-2,0) inside the box: d1 fails with no
+        # monkeypatching.  H^0 and H^1 keep that obstruction, and d2, which
+        # pivots on the column whose clearing failed, decides H^2
+        P = parse_presentation("gens a b c\nrel a^-2 c^-1 b^-1 c\n")
+        q = nilpotent_quotient(P, 2)
+        cx = fox_complex(P, q, QQ, project=False)
+        chi = parse_mchar("char 0: a=0 c=2\nchar 1: [c,a]=-2\n", q.target).with_signs(signs)
+        elim, report = _run_elimination(cx, chi, Trunc([4, 4], 32))
+        stall = ("d1: column check failed its certificate at row 0, column 1: "
+                 "residual degree (-2,0) inside the frontier")
+        assert elim.rank1 == 0 and elim.pivots2 == [(0, 1)] and elim.stall2 is None
+        assert report.verdicts == {0: INCONCLUSIVE, 1: INCONCLUSIVE, 2: VANISHES}
+        assert report.obstructions == {0: stall, 1: stall}
 
     @pytest.mark.parametrize("signs,stall", [
         ([1], "row 0, column 0: residual degree (4) inside the frontier"),
@@ -295,27 +324,26 @@ class RecordingElimination(_Elimination):
 
 class ExplicitD1Elimination(_Elimination):
     """An elimination whose d1 stage applies the P1 base change that
-    `_Elimination` leaves virtual: each row operation clearing M1 is
-    mirrored on column i0 of M2 and A, and that column is then checked
-    against (row_j . d1) p^-1 and zeroed.  Records i0 and p^-1."""
+    `_Elimination` leaves virtual: it clears M1, d1 as an r1 x 1 matrix, and
+    mirrors each row operation on column i0 of M2 and A; that column is then
+    checked against (row_j . d1) p^-1 and zeroed.  Its pivot searches widen
+    by d1 as given, as those of `_Elimination` do.  Records i0 and p^-1."""
 
     def __init__(self, cx, chi, trunc):
         super().__init__(cx, chi, trunc)
+        self.M1 = [[e] for e in cx.d1]
         self.i0 = self.pinv = None
 
     def eliminate_d1(self):
         pivot, stall = self._choose_pivot((0, i, row[0]) for i, row in enumerate(self.M1))
         if pivot is None:
-            if stall:
-                self.stall1 = f"row {stall[1]}: {stall[2]}"
-            return True
+            self.stall1 = f"row {stall[1]}: {stall[2]}"
+            return
         _, self.i0, self.pinv = pivot
         self.stall1 = self._clear_d1(self.i0, self.pinv)
-        if self.stall1:
-            return False
-        self.rank1 = 1
-        self.consumed_cols.add(self.i0)
-        return True
+        if self.stall1 is None:
+            self.rank1 = 1
+            self.consumed_cols.add(self.i0)
 
     def _clear_d1(self, i0, pinv):
         p = self.M1[i0][0]
@@ -345,8 +373,7 @@ class ExhaustiveElimination(_Elimination):
     least column.  The search of `_Elimination` must choose alike."""
 
     def _choose_pivot(self, cells):
-        inv_ctx = widened_context(self.ctx, [e for M in (self.M1, self.M2)
-                                             for row in M for e in row])
+        inv_ctx = widened_context(self.ctx, [*self.cx.d1, *(e for row in self.M2 for e in row)])
         key, pivot, stuck = None, None, {}
         for c, r, e in cells:
             if beyond_frontier(self.ctx, e):
@@ -390,14 +417,14 @@ def elimination_corpus():
 class TestPivotSearch:
     def test_same_eliminations_as_the_exhaustive_search(self, monkeypatch):
         # a seeded sample of the corpus gives the same verdicts, obstructions,
-        # pivots, stalls, M1, M2 and A with either search, and with the
-        # explicit d1 base change outside the column i0 it writes
+        # pivots, stalls, M2 and A with either search, and with the explicit
+        # d1 base change outside the column i0 it writes
         def run(cx, chi, trunc, elimination):
             monkeypatch.setattr(homology, "_Elimination", elimination)
             elim, report = _run_elimination(cx, chi, trunc)
             return elim, (report.verdicts, report.obstructions, elim.rank1, elim.pivots2,
-                          elim.consumed_cols, elim.stall1, elim.stall2, elim.M1, elim.M2,
-                          elim.A, elim.vanishing_is_exact())
+                          elim.consumed_cols, elim.stall1, elim.stall2, elim.M2, elim.A,
+                          elim.vanishing_is_exact())
 
         def outside_column(result, i0):
             *head, M2, A, exact = result
@@ -430,6 +457,32 @@ class TestPivotSearch:
         assert any(r[5] for r in results) and any(r[6] for r in results)
         assert {v for r in results for v in r[0].values()} == {VANISHES, WITNESS, INCONCLUSIVE}
         assert d1_pivots > 100
+
+    def test_d1_pivots_on_the_first_entry_whose_inverse_certifies(self, torus, monkeypatch):
+        # the torus with chi = (1/100, 1) at frontier 8: a - 1 ranks first
+        # (both entries have minimal degree 0, and a's row comes first), but
+        # its series needs a^k with k/100 past the frontier and exhausts
+        # m_max = 64, so d1 pivots on b - 1 and every degree vanishes.  A pick
+        # by rank alone would pivot on a - 1
+        q = nilpotent_quotient(torus, 1)
+        cx = fox_complex(torus, q, QQ, project=False)
+        outcomes = []
+
+        def spy(beta):
+            try:
+                inv = nov_invert(beta)
+            except TruncationInsufficient:
+                outcomes.append((beta.body, "exhausted"))
+                raise
+            outcomes.append((beta.body, "certified"))
+            return inv
+
+        monkeypatch.setattr(homology, "nov_invert", spy)
+        chi = MultiChar(q.target, [[Fraction(1, 100), 1]])
+        elim, report = _run_elimination(cx, chi, Trunc([8], 64))
+        assert outcomes[:2] == [(cx.d1[0], "exhausted"), (cx.d1[1], "certified")]
+        assert elim.rank1 == 1 and elim.consumed_cols - {c for _, c in elim.pivots2} == {1}
+        assert report.verdicts == {0: VANISHES, 1: VANISHES, 2: VANISHES}
 
     def test_inverts_only_the_pivots(self, mapping_torus, monkeypatch):
         # the mapping torus, chi = 1, pattern +: one d1 and two d2 pivots,

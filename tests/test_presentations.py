@@ -122,6 +122,20 @@ class TestFox:
         with pytest.raises(RelatorNotKilled):
             QuotientMap(bs12, Z, [Z.generator(0), Z.generator(0)])
 
+    @pytest.mark.parametrize("target,images", [
+        ("Z", ["", ""]), ("Z", ["u^2", ""]), ("H3", ["a", "c"]),
+    ], ids=["both-to-1", "index-2", "h3-misses-b"])
+    def test_map_that_is_not_onto_is_refused(self, f2, heis, target, images):
+        # F2 -> Z sending a and b to 1, with projected entries, used to end in
+        # a TypeError in eliminate_d1: its d1 had no entry to pivot on
+        Q = free_class2_group(["u"]) if target == "Z" else heis
+        with pytest.raises(MismatchedGroup, match="not onto"):
+            QuotientMap(f2, Q, [Q.collect(Q.parse_word(w)) for w in images])
+
+    def test_coprime_powers_are_onto(self, f2):
+        Z = free_class2_group(["u"])
+        assert QuotientMap(f2, Z, [((0, 2),), ((0, 3),)]).images == [((0, 2),), ((0, 3),)]
+
 
 class TestNilpotentQuotient:
     def test_f2_class2_is_heisenberg(self, f2):
