@@ -9,14 +9,14 @@ drops of conilpotent kernels.
 __version__ = "0.1.0"
 
 from .charorder import (LexOrder, MultiChar, fit_character, fit_multicharacter,
-                        format_mchar, is_compatible, parse_mchar)
+                        is_compatible, parse_mchar)
 from .fields import GF, QQ
 from .groupring import FreeGroup, GroupRing, RingElt, augment, ring_mul
 from .homology import (CriterionVerdict, RankReport, betti, euler_check,
                        nov_cohomology, theorem_f)
 from .iterfrac import Node, frac_from_ring_elt, frac_invert
 from .novikov import (NovContext, NovSeries, Trunc, expand, format_series,
-                      nov_invert, nov_mul, series_from_elt)
+                      nov_invert, series_from_elt)
 from .pcgroup import (PcGroup, Subgroup, free_abelianization_refine,
                       isolator, lower_central_series, parse_pc)
 from .presentations import (FreeChainComplex, Presentation, QuotientMap,
@@ -25,15 +25,14 @@ from .presentations import (FreeChainComplex, Presentation, QuotientMap,
 
 __all__ = [
     "LexOrder", "MultiChar", "fit_character",
-    "fit_multicharacter", "is_compatible", "format_mchar", "parse_mchar",
+    "fit_multicharacter", "is_compatible", "parse_mchar",
     "GF", "QQ",
     "FreeGroup", "GroupRing", "RingElt", "augment", "ring_mul",
     "CriterionVerdict", "RankReport", "betti", "euler_check",
     "nov_cohomology", "theorem_f",
     "Node",
     "NovContext", "NovSeries", "Trunc", "expand", "format_series",
-    "frac_from_ring_elt", "frac_invert", "nov_invert", "nov_mul",
-    "series_from_elt",
+    "frac_from_ring_elt", "frac_invert", "nov_invert", "series_from_elt",
     "PcGroup", "Subgroup", "free_abelianization_refine",
     "isolator", "lower_central_series", "parse_pc",
     "FreeChainComplex", "Presentation", "QuotientMap", "fox_complex",

@@ -306,11 +306,3 @@ def parse_mchar(text, group):
                 raise ParseError(f"generator {name} is not at level {lvl}", ln)
             comps[lvl][group.level_gens[lvl].index(name)] = parse_rational(val, ln)
     return MultiChar(group, comps)
-
-
-def format_mchar(chi):
-    lines = []
-    for i, comp in enumerate(chi.components):
-        assigns = " ".join(f"{g}={v}" for g, v in zip(chi.group.level_gens[i], comp))
-        lines.append(f"char {i}: {assigns}")
-    return "\n".join(lines) + "\n"

@@ -92,7 +92,6 @@ class RankReport:
         self.verdicts = {}          # degree -> verdict string (Novikov reports)
         self.pattern = None
         self.degree = None          # the degree that `stable` and `exact` speak of
-        self.frontier = None
         self.stable = None          # None when there was no re-run
         self.exact = False          # vanishing at `degree` proved over the Novikov ring
         self.witnesses = {}         # degree -> formatted witness cocycle
@@ -357,7 +356,6 @@ def _run_elimination(cx, chi, trunc):
     report = RankReport({0: r0 - elim.rank1 if ok1 else None,
                          1: r1 - elim.rank1 - elim.rank2 if ok1 and ok2 else None,
                          2: r2 - elim.rank2 if ok2 else None})
-    report.frontier = trunc.frontier
     for d, hd in report.h.items():
         if hd is None:
             report.verdicts[d] = INCONCLUSIVE

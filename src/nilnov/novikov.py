@@ -64,10 +64,6 @@ class Trunc:
                 return False
         return True
 
-    def coarser(self, other):
-        return Trunc([min(a, b) for a, b in zip(self.frontier, other.frontier)],
-                     min(self.m_max, other.m_max))
-
     def doubled(self):
         return Trunc([2 * t for t in self.frontier], 2 * self.m_max)
 
@@ -134,13 +130,6 @@ class NovContext:
         ctx._cache = self._cache
         ctx._letters = self._letters
         return ctx
-
-    def compatible(self, other):
-        # == and not `is`: each access to a bound method such as
-        # q.apply_word makes a new object, and equal ones share their map
-        return self.chi.group is other.chi.group and \
-            self.chi.components == other.chi.components and \
-            self.project == other.project
 
 
 class NovSeries:
@@ -239,15 +228,6 @@ def widened_context(ctx, elts):
     degs = [ctx.deg(g) for elt in elts for g in elt.terms]
     depth = [-min((d[i] for d in degs), default=0) for i in range(len(ctx.trunc.frontier))]
     return ctx.with_trunc(ctx.trunc.widened(depth))
-
-
-def nov_mul(x, y):
-    if not x.ctx.compatible(y.ctx):
-        raise MismatchedCharacter("operands carry different multicharacters")
-    _check_group(x.ctx, x.body)
-    _check_group(y.ctx, y.body)
-    ctx = x.ctx.with_trunc(x.ctx.trunc.coarser(y.ctx.trunc))
-    return NovSeries(ctx, truncate_elt(ctx, _product_below(ctx, x.body, y.body)))
 
 
 def format_degree(deg):

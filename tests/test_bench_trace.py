@@ -2,7 +2,8 @@
 
 bench/tracing.py wraps nilnov's public functions from outside; a refactor
 that moves work away from them would leave the per-layer metrics at zero
-without failing anything else.
+without failing anything else.  One run goes untraced, as BENCHMARK.json's
+command runs it, and must report every declared end-to-end metric.
 """
 
 import json
@@ -37,3 +38,14 @@ def test_criterion_corpus_trace_sees_the_degree_path():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
     assert result["metrics"]["presentations.apply_word.calls"]["value"] > 0
+
+
+def test_collect_f23_untraced_reports_every_end_to_end_metric():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "collect-f23", "--seed", "1",
+         "--seconds", "0.2", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert {m["name"] for m in declared} <= set(result["metrics"])

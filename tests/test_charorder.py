@@ -7,11 +7,19 @@ import pytest
 from nilnov import (GroupRing, LexOrder, MultiChar, QQ, fit_character,
                     fit_multicharacter, frac_invert, is_compatible,
                     parse_mchar)
-from nilnov.charorder import format_mchar
 from nilnov.errors import Infeasible
 from nilnov.fracparse import parse_fraction_expr
 
 DATA = pathlib.Path(__file__).parents[1] / "demos" / "data"
+
+
+def format_mchar(chi):
+    """chi in the .mchar format that parse_mchar reads."""
+    lines = []
+    for i, comp in enumerate(chi.components):
+        assigns = " ".join(f"{g}={v}" for g, v in zip(chi.group.level_gens[i], comp))
+        lines.append(f"char {i}: {assigns}")
+    return "\n".join(lines) + "\n"
 
 
 def rand_elt(rng, G, length=3, emax=3):

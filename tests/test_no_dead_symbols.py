@@ -4,21 +4,22 @@ every function is read.
 
 A public symbol of `src/nilnov/<m>.py` is used when it is called or otherwise
 referenced in its own module, when another module of the package imports it
-(`from .m import name`) or reads it as `m.name`, or when it is listed in
-`nilnov.__all__`.  A public method (not a dunder) is used when an attribute
-of that name is referenced anywhere in the package.  A named parameter other
-than `self`, `cls` or a `_`-prefixed one is read when its name is loaded
-somewhere in the function's body.  Symbols that only tests call belong in the
-tests.  The check reads the source with `ast`, so names inside strings and
-comments do not count.
+(`from .m import name`) or reads it as `m.name`, or when a demo or a script
+under `bench/` (not a test there) references it.  Being listed in
+`nilnov.__all__` does not count: the public API is what the CLI, the demos and
+the benchmark call, and a symbol that only tests call belongs in the tests.  A
+public method (not a dunder) is used when an attribute of that name is
+referenced anywhere in the package.  A named parameter other than `self`,
+`cls` or a `_`-prefixed one is read when its name is loaded somewhere in the
+function's body.  The check reads the source with `ast`, so names inside
+strings and comments do not count.
 """
 
 import ast
 import pathlib
 
-import nilnov
-
-PACKAGE = pathlib.Path(__file__).parents[1] / "src" / "nilnov"
+ROOT = pathlib.Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "nilnov"
 
 
 def _modules():
@@ -48,7 +49,7 @@ def _imported_elsewhere(modules):
     used = set()
     for importer, tree in modules.items():
         if importer == "__init__":
-            continue  # its imports are the public API, checked through __all__
+            continue  # re-exporting a name does not use it
         aliases = {}  # local name -> package module, from `from . import m`
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -63,16 +64,32 @@ def _imported_elsewhere(modules):
     return used
 
 
+def _referenced_by_scripts():
+    """Every name that a demo or a benchmark script imports or reads."""
+    scripts = sorted((ROOT / "demos").glob("*.py")) + \
+        [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
+    names = set()
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+    return names
+
+
 def test_every_public_symbol_is_used():
     modules = _modules()
     imported = _imported_elsewhere(modules)
-    exported = set(nilnov.__all__)
+    scripted = _referenced_by_scripts()
     dead = [f"{module}.{node.name}"
             for module, tree in modules.items()
             for node in _public_definitions(tree)
             if not (_referenced_in_module(tree, node.name)
                     or (module, node.name) in imported
-                    or node.name in exported)]
+                    or node.name in scripted)]
     assert dead == []
 
 

@@ -8,9 +8,8 @@ import pytest
 
 from conftest import time_limit
 from nilnov import (GroupRing, LexOrder, MultiChar, NovContext, NovSeries, QQ,
-                    QuotientMap, Trunc, expand, format_series, frac_invert,
-                    nov_invert, nov_mul, parse_pc, parse_presentation, ring_mul,
-                    series_from_elt)
+                    Trunc, expand, format_series, frac_invert, nov_invert, parse_pc,
+                    parse_presentation, ring_mul, series_from_elt)
 from nilnov.errors import (CertificateFailure, IncompatibleCharacter, MismatchedCharacter,
                            MismatchedGroup, NilnovError, NoStrictMinimum, ParseError,
                            TruncationInsufficient, UnsupportedFraction)
@@ -36,91 +35,6 @@ def reversed_levels(order, signs):
 
 def in_box(ctx, elt):
     return {g: cf for g, cf in elt.terms.items() if ctx.trunc.retains(ctx.deg(g))}
-
-
-class TestNovMul:
-    def test_telescoping(self, zgroup):
-        R = GroupRing(zgroup, QQ)
-        chi = MultiChar(zgroup, [[1]])
-        ctx = NovContext(chi, Trunc([5], 10))
-        geo = R.from_terms(((zgroup.pow(zgroup.generator(0), k), 1) for k in range(5)))
-        prod = nov_mul(series_from_elt(ctx, geo), series_from_elt(ctx, R.parse("1 - t")))
-        assert in_box(ctx, prod.body) == {(): Fraction(1)}
-
-    def test_unit_law(self, heis):
-        rng = random.Random(2)
-        R = GroupRing(heis, QQ)
-        chi = MultiChar(heis, [[1, 0], [1]])
-        ctx = NovContext(chi, Trunc([4, 4], 10))
-        one = series_from_elt(ctx, R.one())
-        for _ in range(30):
-            g = heis.collect([(rng.randrange(3), rng.randint(-2, 2)) for _ in range(2)])
-            x = series_from_elt(ctx, R.monomial(rng.randint(1, 5), g))
-            assert nov_mul(x, one).body == x.body
-
-    def test_central_factor_commutes(self, heis):
-        R = GroupRing(heis, QQ)
-        chi = MultiChar(heis, [[1, 0], [1]])
-        ctx = NovContext(chi, Trunc([4, 4], 10))
-        x = series_from_elt(ctx, R.parse("1 + a"))
-        y = series_from_elt(ctx, R.parse("1 + c"))
-        assert nov_mul(x, y).body == nov_mul(y, x).body
-        assert nov_mul(x, y).body == ring_mul(R.parse("1 + a"), R.parse("1 + c"))
-
-    def test_mismatched_character(self, zgroup):
-        R = GroupRing(zgroup, QQ)
-        c1 = NovContext(MultiChar(zgroup, [[1]]), Trunc([5], 10))
-        c2 = NovContext(MultiChar(zgroup, [[2]]), Trunc([5], 10))
-        with pytest.raises(MismatchedCharacter):
-            nov_mul(series_from_elt(c1, R.one()), series_from_elt(c2, R.one()))
-
-    def test_frontier_length_must_match_levels(self, heis):
-        chi = MultiChar(heis, [[1, 0], [1]])
-        with pytest.raises(MismatchedCharacter, match="frontier has 1 entries"):
-            NovContext(chi, Trunc([3], 12))
-
-    def test_matches_truncated_ring_mul(self, heis):
-        # seeded H3 elements and free words through parafree's class-1 and
-        # class-2 quotients: the product of the two truncated bodies,
-        # truncated to the coarser of the two truncations, frontier and
-        # m_max alike
-        P = parse_presentation((DATA / "parafree.fpg").read_text())
-        q1, q2 = nilpotent_quotient(P, 1), nilpotent_quotient(P, 2)
-        cases = [(heis, None, [[1, 1], [1]], (3, 5), (4, 4)),
-                 (heis, None, [[1, -2], [3]], (2, 5), (3, 3)),
-                 (P.free_group, q1, [[Fraction(1, 2), Fraction(-3, 2)]], (2,), (3,)),
-                 (P.free_group, q2, [[0, 1], [1]], (3, 2), (2, 3))]
-        for G, q, values, f1, f2 in cases:
-            project = q and q.apply_word
-            chi = MultiChar(q.target if q else G, values)
-            c1, c2 = NovContext(chi, Trunc(f1, 12), project), NovContext(chi, Trunc(f2, 9), project)
-            R = GroupRing(G, QQ)
-            rng = random.Random(str((values, f1)))
-            word = rand_word(rng, G)
-            for i in range(20):
-                x = rand_ring_elt(rng, R, word, rng.randint(1, 6), fractional=i % 2 == 1)
-                y = rand_ring_elt(rng, R, word, rng.randint(1, 6))
-                x, y = series_from_elt(c1, x), series_from_elt(c2, y)
-                prod = nov_mul(x, y)
-                assert prod.ctx.trunc.frontier == tuple(map(min, f1, f2))
-                assert prod.ctx.trunc.m_max == 9
-                assert prod.body == truncate_elt(prod.ctx, ring_mul(x.body, y.body)), (x, y)
-
-    def test_one_quotient_map_is_compatible(self):
-        # each access to q.apply_word makes a new bound method; two contexts
-        # built from it measure alike, and one built from another map of
-        # the same group does not share it
-        P = parse_presentation((DATA / "parafree.fpg").read_text())
-        q = nilpotent_quotient(P, 1)
-        chi = MultiChar(q.target, [[1, 1]])
-        R = GroupRing(P.free_group, QQ)
-        x = series_from_elt(NovContext(chi, Trunc([3], 8), q.apply_word), R.parse("1 + b"))
-        y = series_from_elt(NovContext(chi, Trunc([3], 8), q.apply_word), R.parse("1 - b"))
-        assert nov_mul(x, y).body == R.parse("1 - b^2")
-        other = QuotientMap(P, q.target, q.images)
-        z = series_from_elt(NovContext(chi, Trunc([3], 8), other.apply_word), R.parse("1 - b"))
-        with pytest.raises(MismatchedCharacter):
-            nov_mul(x, z)
 
 
 def _fpg_files():
@@ -219,30 +133,28 @@ class TestTrunc:
         assert trunc.widened((Fraction(1, 2), -3)).frontier == (Fraction(5, 2), Fraction(5, 2))
         assert repr(trunc.doubled()) == "Trunc(4,5; m_max=16)"
 
+    def test_frontier_length_must_match_levels(self, heis):
+        chi = MultiChar(heis, [[1, 0], [1]])
+        with pytest.raises(MismatchedCharacter, match="frontier has 1 entries"):
+            NovContext(chi, Trunc([3], 12))
+
 
 class TestWrongGroup:
     """Without a projection, an element must live over chi's group."""
 
     def setup_ctx(self, heis, z3group):
         ctx = NovContext(MultiChar(heis, [[1, 1], [1]]), Trunc([3, 4], 16))
-        return ctx, GroupRing(z3group, QQ).parse("1 + a"), GroupRing(heis, QQ).parse("1 + a")
+        return ctx, GroupRing(z3group, QQ).parse("1 + a")
 
     def test_series_from_elt(self, heis, z3group):
-        ctx, foreign, _ = self.setup_ctx(heis, z3group)
+        ctx, foreign = self.setup_ctx(heis, z3group)
         with pytest.raises(MismatchedGroup):
             series_from_elt(ctx, foreign)
 
     def test_nov_invert(self, heis, z3group):
-        ctx, foreign, _ = self.setup_ctx(heis, z3group)
+        ctx, foreign = self.setup_ctx(heis, z3group)
         with pytest.raises(MismatchedGroup):
             nov_invert(NovSeries(ctx, foreign))
-
-    def test_nov_mul(self, heis, z3group):
-        ctx, foreign, own = self.setup_ctx(heis, z3group)
-        with pytest.raises(MismatchedGroup):
-            nov_mul(series_from_elt(ctx, own), NovSeries(ctx, foreign))
-        with pytest.raises(MismatchedGroup):
-            nov_mul(NovSeries(ctx, foreign), series_from_elt(ctx, own))
 
 
 def rand_ring_elt(rng, ring, word, nterms, fractional=False):
@@ -262,9 +174,10 @@ def rand_word(rng, G, length=4):
 
 
 def parafree_context(values, frontier):
-    """Free words of Baumslag's parafree group, measured through its class-2 quotient."""
+    """Free words of Baumslag's parafree group, measured through its quotient
+    of class len(values): that quotient has one level per class."""
     P = parse_presentation((DATA / "parafree.fpg").read_text())
-    q = nilpotent_quotient(P, 2)
+    q = nilpotent_quotient(P, len(values))
     ctx = NovContext(MultiChar(q.target, values), Trunc(frontier, 16), q.apply_word)
     return ctx, GroupRing(P.free_group, QQ), P.free_group
 
@@ -305,6 +218,8 @@ class TestProductBelow:
     @pytest.mark.parametrize("values,frontier", [
         ([[1, 2], [1]], [2, 2]),
         ([[Fraction(1, 2), -1], [Fraction(-3, 2)]], [Fraction(3, 2), 2]),
+        # class 1: degrees are read off letters, not projected words
+        ([[Fraction(1, 2), Fraction(-3, 2)]], [2]),
     ])
     def test_free_backend_with_projection(self, values, frontier):
         ctx, R, F = parafree_context(values, frontier)
